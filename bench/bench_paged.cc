@@ -193,7 +193,6 @@ void BM_PagedTcFixpoint(benchmark::State& state) {
 
   DatalogOptions options;
   options.eval_options.num_threads = threads;
-  options.eval_options.use_paged_storage = true;
   bool identical = true;
   double paged_ms = 0;
   {

@@ -1,12 +1,8 @@
-// This milestone's storage engine, measured head to head against the flat
-// indexed engine of the previous milestone. Arg "sharded" selects the whole
-// bundle: 0 = the PR 2 configuration (flat indexed joins, full PC-1 closure
-// sweep, no memo), 1 = this PR (signature-bound shards + selectivity
-// planner + cross-round closure memo + restricted closure sweep). Every
-// feature in the bundle is independently toggleable (EvalOptions /
-// *ModeScope) and each is bit-identical to its baseline by construction,
-// so the two rows differ in wall-clock only — outputs are verified
-// structurally identical before timing.
+// The engine's scaling over input size and worker threads: every row runs
+// the one engine (signature-bound shards, selectivity planner, cross-round
+// closure memo, restricted closure sweep), sweeping n at one thread and
+// threads at n = 64. A threads:K row slower than its threads:1 sibling is a
+// parallelism bug to chase, not noise to record.
 //
 //   - ShardedIntersect: join-heavy algebra over scattered boxes; the
 //     shard-pair cover matrix prunes whole blocks of the candidate product
@@ -14,8 +10,9 @@
 //   - ShardedEquiJoinCompose: path-edge composition; the planner picks the
 //     enumeration side and the per-shard interval indexes bound the probes.
 //   - ShardedTransitiveClosure: the Datalog fixpoint; the restricted
-//     closure sweep and the cross-round closure memo dominate the win,
-//     with shard-skipping subsumption scans on the accumulating IDB.
+//     closure sweep and the cross-round closure memo carry most of the
+//     canonicalization cost, with shard-skipping subsumption scans on the
+//     accumulating IDB.
 
 #include <benchmark/benchmark.h>
 
@@ -26,103 +23,42 @@
 namespace dodb {
 namespace {
 
-// Scattered boxes with enough tuples that sharding engages (>= kMinTuples
-// per side, >= kShardMinPairs pairs).
-GeneralizedRelation Boxes(int n, uint64_t seed) {
-  return bench::RandomRectangles(n, 0, seed);
+// n sweep at one thread, then the thread sweep at n = 64.
+void SizeByThreads(benchmark::internal::Benchmark* bench) {
+  bench->ArgNames({"n", "threads"});
+  for (int n : {32, 48, 64}) bench->Args({n, 1});
+  for (int threads : {2, 4, 8}) bench->Args({64, threads});
 }
 
 void BM_ShardedIntersect(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  int threads = static_cast<int>(state.range(1));
-  bool sharded = state.range(2) != 0;
-  GeneralizedRelation a = Boxes(2 * n, 1);
-  GeneralizedRelation b = Boxes(2 * n, 2);
-  GeneralizedRelation with_shards(2), without_shards(2);
-  {
-    IndexModeScope indexed(true);
-    ShardModeScope mode(true);
-    with_shards = algebra::Intersect(a, b);
-  }
-  {
-    IndexModeScope indexed(true);
-    ShardModeScope mode(false);
-    without_shards = algebra::Intersect(a, b);
-  }
-  state.counters["identical"] =
-      with_shards.StructurallyEquals(without_shards) ? 1 : 0;
-  EvalThreadsScope thread_scope(threads);
-  IndexModeScope indexed(true);
-  ShardModeScope mode(sharded);
-  ClosureFastPathScope sweep(sharded);
+  EvalThreadsScope thread_scope(static_cast<int>(state.range(1)));
+  // Scattered boxes with enough tuples that sharding engages (>= kMinTuples
+  // per side, >= kShardMinPairs pairs).
+  GeneralizedRelation a = bench::RandomRectangles(2 * n, 0, 1);
+  GeneralizedRelation b = bench::RandomRectangles(2 * n, 0, 2);
   bench::ScopedCounterReport eval_counters(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(algebra::Intersect(a, b));
   }
   state.SetComplexityN(n);
 }
-BENCHMARK(BM_ShardedIntersect)
-    ->ArgNames({"n", "threads", "sharded"})
-    ->Args({32, 1, 0})
-    ->Args({32, 1, 1})
-    ->Args({48, 1, 0})
-    ->Args({48, 1, 1})
-    ->Args({64, 1, 0})
-    ->Args({64, 1, 1})
-    ->Args({64, 2, 0})
-    ->Args({64, 2, 1})
-    ->Args({64, 4, 0})
-    ->Args({64, 4, 1})
-    ->Args({64, 8, 0})
-    ->Args({64, 8, 1});
+BENCHMARK(BM_ShardedIntersect)->Apply(SizeByThreads);
 
 void BM_ShardedEquiJoinCompose(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  int threads = static_cast<int>(state.range(1));
-  bool sharded = state.range(2) != 0;
+  EvalThreadsScope thread_scope(static_cast<int>(state.range(1)));
   GeneralizedRelation edges = bench::PathGraph(2 * n);
-  GeneralizedRelation with_shards(4), without_shards(4);
-  {
-    IndexModeScope indexed(true);
-    ShardModeScope mode(true);
-    with_shards = algebra::EquiJoin(edges, edges, {{1, 0}});
-  }
-  {
-    IndexModeScope indexed(true);
-    ShardModeScope mode(false);
-    without_shards = algebra::EquiJoin(edges, edges, {{1, 0}});
-  }
-  state.counters["identical"] =
-      with_shards.StructurallyEquals(without_shards) ? 1 : 0;
-  EvalThreadsScope thread_scope(threads);
-  IndexModeScope indexed(true);
-  ShardModeScope mode(sharded);
-  ClosureFastPathScope sweep(sharded);
   bench::ScopedCounterReport eval_counters(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(algebra::EquiJoin(edges, edges, {{1, 0}}));
   }
   state.SetComplexityN(n);
 }
-BENCHMARK(BM_ShardedEquiJoinCompose)
-    ->ArgNames({"n", "threads", "sharded"})
-    ->Args({32, 1, 0})
-    ->Args({32, 1, 1})
-    ->Args({48, 1, 0})
-    ->Args({48, 1, 1})
-    ->Args({64, 1, 0})
-    ->Args({64, 1, 1})
-    ->Args({64, 2, 0})
-    ->Args({64, 2, 1})
-    ->Args({64, 4, 0})
-    ->Args({64, 4, 1})
-    ->Args({64, 8, 0})
-    ->Args({64, 8, 1});
+BENCHMARK(BM_ShardedEquiJoinCompose)->Apply(SizeByThreads);
 
 void BM_ShardedTransitiveClosure(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  int threads = static_cast<int>(state.range(1));
-  bool sharded = state.range(2) != 0;
   Database db;
   db.SetRelation("e", bench::PathGraph(n));
   DatalogProgram program = DatalogParser::ParseProgram(R"(
@@ -130,11 +66,7 @@ void BM_ShardedTransitiveClosure(benchmark::State& state) {
     tc(x, y) :- tc(x, z), e(z, y).
   )").value();
   DatalogOptions options;
-  options.eval_options.num_threads = threads;
-  options.eval_options.use_index = true;
-  options.eval_options.use_shards = sharded;
-  options.eval_options.use_closure_memo = sharded;
-  options.eval_options.use_closure_fastpath = sharded;
+  options.eval_options.num_threads = static_cast<int>(state.range(1));
   bench::ScopedCounterReport eval_counters(state);
   for (auto _ : state) {
     DatalogEvaluator evaluator(program, &db, options);
@@ -142,48 +74,7 @@ void BM_ShardedTransitiveClosure(benchmark::State& state) {
   }
   state.SetComplexityN(n);
 }
-BENCHMARK(BM_ShardedTransitiveClosure)
-    ->ArgNames({"n", "threads", "sharded"})
-    ->Args({32, 1, 0})
-    ->Args({32, 1, 1})
-    ->Args({48, 1, 0})
-    ->Args({48, 1, 1})
-    ->Args({64, 1, 0})
-    ->Args({64, 1, 1})
-    ->Args({64, 2, 0})
-    ->Args({64, 2, 1})
-    ->Args({64, 4, 0})
-    ->Args({64, 4, 1})
-    ->Args({64, 8, 0})
-    ->Args({64, 8, 1});
-
-// Cross-mode equality of the full fixpoint, checked once outside timing
-// (the per-thread-count differential lives in relation_shards_test).
-void BM_ShardModesIdentical(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Database db;
-  db.SetRelation("e", bench::PathGraph(n));
-  DatalogProgram program = DatalogParser::ParseProgram(R"(
-    tc(x, y) :- e(x, y).
-    tc(x, y) :- tc(x, z), e(z, y).
-  )").value();
-  bool identical = true;
-  for (auto _ : state) {
-    DatalogOptions options;
-    options.eval_options.use_shards = true;
-    DatalogEvaluator with_shards(program, &db, options);
-    Database idb_sharded = with_shards.Evaluate().value();
-    options.eval_options.use_shards = false;
-    options.eval_options.use_closure_memo = false;
-    DatalogEvaluator without_shards(program, &db, options);
-    Database idb_flat = without_shards.Evaluate().value();
-    identical = idb_sharded.FindRelation("tc")->StructurallyEquals(
-        *idb_flat.FindRelation("tc"));
-    benchmark::DoNotOptimize(identical);
-  }
-  state.counters["identical"] = identical ? 1 : 0;
-}
-BENCHMARK(BM_ShardModesIdentical)->Arg(32);
+BENCHMARK(BM_ShardedTransitiveClosure)->Apply(SizeByThreads);
 
 }  // namespace
 }  // namespace dodb

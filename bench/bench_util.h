@@ -13,32 +13,39 @@ namespace bench {
 
 /// Attaches the engine-counter delta for the measured section to the
 /// benchmark's user counters, so every BENCH_*.json row carries the
-/// pruning / subsumption / index statistics next to its timings.
+/// pruning / subsumption / index statistics next to its timings. Counts and
+/// times are reported per iteration, so rows that ran different iteration
+/// counts compare directly; the atoms-per-tuple ratio and the
+/// canonical_atoms_max high-water mark are reported as read.
 inline void ReportEvalCounters(benchmark::State& state,
                                const EvalCounterSnapshot& delta) {
-  state.counters["pairs_considered"] =
-      static_cast<double>(delta.pairs_considered);
-  state.counters["pairs_pruned"] = static_cast<double>(delta.pairs_pruned);
-  state.counters["canonicalized"] = static_cast<double>(delta.canonicalized);
-  state.counters["subsumption_checks"] =
-      static_cast<double>(delta.subsumption_checks);
-  state.counters["hash_skips"] = static_cast<double>(delta.hash_skips);
-  state.counters["index_builds"] = static_cast<double>(delta.index_builds);
-  state.counters["index_probes"] = static_cast<double>(delta.index_probes);
-  state.counters["index_build_ms"] =
-      static_cast<double>(delta.index_build_ns) / 1e6;
-  state.counters["index_probe_ms"] =
-      static_cast<double>(delta.index_probe_ns) / 1e6;
-  state.counters["shard_pairs_considered"] =
-      static_cast<double>(delta.shard_pairs_considered);
-  state.counters["shard_pairs_pruned"] =
-      static_cast<double>(delta.shard_pairs_pruned);
-  state.counters["shard_index_builds"] =
-      static_cast<double>(delta.shard_index_builds);
-  state.counters["planner_reorders"] =
-      static_cast<double>(delta.planner_reorders);
-  state.counters["closure_memo_hits"] =
-      static_cast<double>(delta.closure_memo_hits);
+  auto per_iteration = [&state](const char* name, double value) {
+    state.counters[name] =
+        benchmark::Counter(value, benchmark::Counter::kAvgIterations);
+  };
+  per_iteration("pairs_considered",
+                static_cast<double>(delta.pairs_considered));
+  per_iteration("pairs_pruned", static_cast<double>(delta.pairs_pruned));
+  per_iteration("canonicalized", static_cast<double>(delta.canonicalized));
+  per_iteration("subsumption_checks",
+                static_cast<double>(delta.subsumption_checks));
+  per_iteration("hash_skips", static_cast<double>(delta.hash_skips));
+  per_iteration("index_builds", static_cast<double>(delta.index_builds));
+  per_iteration("index_probes", static_cast<double>(delta.index_probes));
+  per_iteration("index_build_ms",
+                static_cast<double>(delta.index_build_ns) / 1e6);
+  per_iteration("index_probe_ms",
+                static_cast<double>(delta.index_probe_ns) / 1e6);
+  per_iteration("shard_pairs_considered",
+                static_cast<double>(delta.shard_pairs_considered));
+  per_iteration("shard_pairs_pruned",
+                static_cast<double>(delta.shard_pairs_pruned));
+  per_iteration("shard_index_builds",
+                static_cast<double>(delta.shard_index_builds));
+  per_iteration("planner_reorders",
+                static_cast<double>(delta.planner_reorders));
+  per_iteration("closure_memo_hits",
+                static_cast<double>(delta.closure_memo_hits));
   state.counters["atoms_per_canonical_tuple"] =
       delta.canonical_forms == 0
           ? 0.0
@@ -46,30 +53,30 @@ inline void ReportEvalCounters(benchmark::State& state,
                 static_cast<double>(delta.canonical_forms);
   state.counters["canonical_atoms_max"] =
       static_cast<double>(delta.canonical_atoms_max);
-  state.counters["arena_bytes"] = static_cast<double>(delta.arena_bytes);
-  state.counters["arena_reuse_hits"] =
-      static_cast<double>(delta.arena_reuse_hits);
-  state.counters["view_delta_tuples"] =
-      static_cast<double>(delta.view_delta_tuples);
-  state.counters["view_rederivations"] =
-      static_cast<double>(delta.view_rederivations);
-  state.counters["view_full_recomputes"] =
-      static_cast<double>(delta.view_full_recomputes);
-  state.counters["view_maintenance_ms"] =
-      static_cast<double>(delta.view_maintenance_ns) / 1e6;
-  state.counters["page_cache_hits"] =
-      static_cast<double>(delta.page_cache_hits);
-  state.counters["page_cache_misses"] =
-      static_cast<double>(delta.page_cache_misses);
-  state.counters["page_evictions"] = static_cast<double>(delta.page_evictions);
-  state.counters["page_writeback_bytes"] =
-      static_cast<double>(delta.page_writeback_bytes);
-  state.counters["paged_runs_fetched"] =
-      static_cast<double>(delta.paged_runs_fetched);
-  state.counters["paged_spill_bytes"] =
-      static_cast<double>(delta.paged_spill_bytes);
-  state.counters["paged_materializations"] =
-      static_cast<double>(delta.paged_materializations);
+  per_iteration("arena_bytes", static_cast<double>(delta.arena_bytes));
+  per_iteration("arena_reuse_hits",
+                static_cast<double>(delta.arena_reuse_hits));
+  per_iteration("view_delta_tuples",
+                static_cast<double>(delta.view_delta_tuples));
+  per_iteration("view_rederivations",
+                static_cast<double>(delta.view_rederivations));
+  per_iteration("view_full_recomputes",
+                static_cast<double>(delta.view_full_recomputes));
+  per_iteration("view_maintenance_ms",
+                static_cast<double>(delta.view_maintenance_ns) / 1e6);
+  per_iteration("page_cache_hits",
+                static_cast<double>(delta.page_cache_hits));
+  per_iteration("page_cache_misses",
+                static_cast<double>(delta.page_cache_misses));
+  per_iteration("page_evictions", static_cast<double>(delta.page_evictions));
+  per_iteration("page_writeback_bytes",
+                static_cast<double>(delta.page_writeback_bytes));
+  per_iteration("paged_runs_fetched",
+                static_cast<double>(delta.paged_runs_fetched));
+  per_iteration("paged_spill_bytes",
+                static_cast<double>(delta.paged_spill_bytes));
+  per_iteration("paged_materializations",
+                static_cast<double>(delta.paged_materializations));
 }
 
 /// RAII: snapshot on construction, ReportEvalCounters on destruction —

@@ -34,12 +34,14 @@
 #   bench/run_benchmarks.sh build qe thm44_datalog_ptime
 # and comparing real_time in BENCH_<name>_t1.json vs BENCH_<name>.json.
 #
-# The sharded-storage speedup record comes from bench_shard_scaling, which
-# sweeps {n} x {threads} x {sharded 0/1} inside one binary:
+# Every bench measures the one engine; no row compares evaluation modes.
+# The thread-scaling record comes from bench_shard_scaling, which sweeps
+# {n} x {threads} inside one binary:
 #   bench/run_benchmarks.sh build shard_scaling
-# and comparing sharded=1 vs sharded=0 rows at equal n/threads in
-# BENCH_shard_scaling.json. bench/check_perf_regression.py guards the
-# committed JSONs against slowdowns in CI.
+# and comparing threads:K rows against their threads:1 siblings in
+# BENCH_shard_scaling.json. Engine counters in every row are per iteration.
+# bench/check_perf_regression.py guards the committed JSONs against
+# slowdowns in CI.
 
 set -euo pipefail
 

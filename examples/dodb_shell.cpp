@@ -552,9 +552,10 @@ int main(int argc, char** argv) {
   // Out-of-core backend: one pager per session, created lazily by
   // \open <dir> paged (spill file + global buffer pool) or by the first
   // \page <r> on without storage (memory record store — the interface
-  // without the I/O). session_options.use_paged_storage tracks whether
-  // catalog mutations should be re-spilled as they land.
+  // without the I/O). paged_catalog tracks whether catalog mutations should
+  // be re-spilled as they land.
   std::unique_ptr<RelationPager> pager;
+  bool paged_catalog = false;
   // Relations the user forced resident with \page <r> off while the rest of
   // the catalog is paged; the post-command re-spill skips them.
   std::set<std::string> resident_pins;
@@ -704,7 +705,7 @@ int main(int argc, char** argv) {
                       << "\n";
           } else {
             pager = std::move(opened_pager).value();
-            session_options.use_paged_storage = true;
+            paged_catalog = true;
             if (SpillAll(&db, pager.get(), resident_pins)) {
               std::cout << db.relation_count()
                         << " relation(s) spilled out-of-core (cache "
@@ -922,7 +923,7 @@ int main(int argc, char** argv) {
     // canonical vector); re-spill whatever the command left resident so the
     // catalog stays out-of-core. SpillAll skips paged, empty and
     // user-pinned relations, so this is a no-op after read-only commands.
-    if (session_options.use_paged_storage && pager != nullptr) {
+    if (paged_catalog && pager != nullptr) {
       SpillAll(&db, pager.get(), resident_pins);
     }
   }

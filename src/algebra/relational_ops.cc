@@ -119,8 +119,8 @@ void ForEachTuple(const GeneralizedRelation& rel, Fn&& fn) {
 
 // One candidate surviving the shard-pair filters, keyed by its row-major
 // pair rank i * |tb| + j so the sequential merge can replay the exact
-// legacy insertion sequence (minus provably-unsatisfiable pairs) no matter
-// which shard-pair job produced it.
+// nested-loop insertion sequence (minus provably-unsatisfiable pairs) no
+// matter which shard-pair job produced it.
 struct KeyedCandidate {
   uint64_t key;
   std::optional<GeneralizedTuple> canonical;
@@ -130,7 +130,7 @@ struct KeyedCandidate {
 // than one shard and the pair matrix is large enough to amortize it.
 bool ShardedJoinApplies(const GeneralizedRelation& a,
                         const GeneralizedRelation& b, size_t total_pairs) {
-  if (!ShardingEnabled() || total_pairs < kShardMinPairs) return false;
+  if (total_pairs < kShardMinPairs) return false;
   return a.Index().Shards()->shard_count() > 1 &&
          b.Index().Shards()->shard_count() > 1;
 }
@@ -144,9 +144,8 @@ bool ShardedJoinApplies(const GeneralizedRelation& a,
 // which pairs get *tested*. Surviving candidates are canonicalized inside
 // the shard-pair jobs (per-shard parallelism instead of per-tuple-block)
 // and merged sequentially in ascending row-major key order, which replays
-// the legacy nested-loop insertion sequence exactly — outputs stay
-// bit-identical to both the unindexed and the flat indexed path at any
-// thread count.
+// the nested-loop insertion sequence exactly — outputs stay bit-identical
+// to the flat indexed path at any thread count.
 //
 // The planner picks which side enumerates and which side's per-shard
 // interval indexes are probed (an enumeration-only decision): enumerating
@@ -211,16 +210,12 @@ void ShardedJoinInto(
   }
 
   // One job per surviving shard pair: filter member pairs by the exact
-  // per-pair predicate and canonicalize the survivors. The memo pointer and
-  // the closure-sweep and canonical-form modes are read here (calling
-  // thread) and captured — workers don't inherit the thread-local scopes.
+  // per-pair predicate and canonicalize the survivors. The memo pointer is
+  // read here (calling thread) and captured — workers don't inherit the
+  // thread-local scope.
   ClosureCache* memo = CurrentClosureCache();
-  const bool closure_fast = ClosureFastPathEnabled();
-  const bool minimal = MinimalCanonicalEnabled();
   QueryGuard* guard = CurrentQueryGuard();
   auto eval_pair = [&](size_t k) -> std::vector<KeyedCandidate> {
-    ClosureFastPathScope sweep(closure_fast);
-    MinimalCanonicalScope canonical_mode(minimal);
     // Workers don't inherit the guard thread-local either; re-install it so
     // closure sweeps and the memo observe it, and bail before enumerating
     // when a sibling job already tripped.
@@ -374,7 +369,7 @@ GeneralizedRelation Intersect(const GeneralizedRelation& a,
     const size_t nb = in_b.size();
     const size_t total = in_a.size() * nb;
     EvalCounters::AddPairsConsidered(total);
-    if (!IndexingEnabled() || a.arity() == 0 || total < kIndexMinPairs) {
+    if (a.arity() == 0 || total < kIndexMinPairs) {
       out.AddTuplesParallel(total, [&](size_t i) {
         return in_a.Get(i / nb).Conjoin(in_b.Get(i % nb));
       });
@@ -420,7 +415,7 @@ GeneralizedRelation Intersect(const GeneralizedRelation& a,
   if (ta.empty() || tb.empty()) return out;
   const size_t total = ta.size() * tb.size();
   EvalCounters::AddPairsConsidered(total);
-  if (!IndexingEnabled() || a.arity() == 0 || total < kIndexMinPairs) {
+  if (a.arity() == 0 || total < kIndexMinPairs) {
     // The pairwise-conjunction product in row-major order, so the merge
     // matches the classic nested loop exactly.
     out.AddTuplesParallel(total, [&](size_t i) {
@@ -444,8 +439,8 @@ GeneralizedRelation Intersect(const GeneralizedRelation& a,
   // Indexed path: enumerate, still in row-major order, only the pairs whose
   // per-column bound boxes share a point. A pruned pair is provably
   // unsatisfiable, so it would have contributed nothing to the merge — the
-  // surviving sequence is exactly the legacy sequence minus no-ops, and the
-  // result is bit-identical.
+  // surviving sequence is exactly the nested-loop sequence minus no-ops, and
+  // the result is bit-identical to the full product's.
   const RelationIndex& index = b.Index();
   const int probe_column = index.ProbeColumn(b.arity());
   const ColumnIntervalIndex* intervals = index.IntervalIndex(probe_column);
@@ -516,8 +511,8 @@ GeneralizedRelation ComplementViaDnf(const GeneralizedRelation& rel) {
     EvalCounters::AddPairsConsidered(total);
     // The outer accumulator walk is inherently sequential; the partial x
     // negated-atom product inside one step is not. Filters unsat, prunes
-    // subsumption, in the legacy (partial-major) order.
-    if (!IndexingEnabled() || total < kIndexMinPairs) {
+    // subsumption, in partial-major order.
+    if (total < kIndexMinPairs) {
       next.AddTuplesParallel(total, [&](size_t i) {
         GeneralizedTuple candidate = partials[i / atoms.size()];
         candidate.AddAtom(atoms[i % atoms.size()].Negated());
@@ -565,7 +560,7 @@ GeneralizedRelation Difference(const GeneralizedRelation& a,
     // Streaming variant of the prefilter below (same predicate, same
     // order); the Intersect/Complement it feeds handle paged inputs
     // themselves.
-    if (IndexingEnabled() && a.arity() > 0 && !a.IsEmpty() && !b.IsEmpty() &&
+    if (a.arity() > 0 && !a.IsEmpty() && !b.IsEmpty() &&
         a.tuple_count() * b.tuple_count() >= kIndexMinPairs) {
       const RelationIndex& index = b.Index();
       InputTuples in_b(b);
@@ -596,7 +591,7 @@ GeneralizedRelation Difference(const GeneralizedRelation& a,
     }
     return Intersect(a, Complement(b));
   }
-  if (IndexingEnabled() && a.arity() > 0 && !a.IsEmpty() && !b.IsEmpty() &&
+  if (a.arity() > 0 && !a.IsEmpty() && !b.IsEmpty() &&
       a.tuples().size() * b.tuples().size() >= kIndexMinPairs) {
     // Overlap-restricted containment pre-filter: a tuple of `a` wholly inside
     // a single tuple of `b` contributes nothing to a - b, and every Intersect
@@ -681,10 +676,10 @@ GeneralizedRelation EquiJoin(
   }
   // Fused cross-product + equality selection: each candidate pair is widened
   // and conjoined with every join-equality atom in one step, so candidates
-  // that fail the join never materialize as intermediates. Both modes
-  // enumerate the same fused candidates in row-major order; the index only
+  // that fail the join never materialize as intermediates. Every path
+  // enumerates the fused candidates in row-major order; the index only
   // removes pairs with provably disjoint joined-column bounds, keeping the
-  // output bit-identical to the unindexed mode.
+  // output bit-identical to the full product's.
   const int arity = a.arity() + b.arity();
   GeneralizedRelation out(arity);
   if (a.is_paged() || b.is_paged()) {
@@ -709,8 +704,7 @@ GeneralizedRelation EquiJoin(
     const size_t nb = in_b.size();
     const size_t total = in_a.size() * nb;
     EvalCounters::AddPairsConsidered(total);
-    if (!IndexingEnabled() || column_pairs.empty() ||
-        total < kIndexMinPairs) {
+    if (column_pairs.empty() || total < kIndexMinPairs) {
       out.AddTuplesParallel(total, [&](size_t k) {
         return make_candidate(k / nb, k % nb);
       });
@@ -775,7 +769,7 @@ GeneralizedRelation EquiJoin(
   };
   const size_t total = ta.size() * tb.size();
   EvalCounters::AddPairsConsidered(total);
-  if (!IndexingEnabled() || column_pairs.empty() || total < kIndexMinPairs) {
+  if (column_pairs.empty() || total < kIndexMinPairs) {
     out.AddTuplesParallel(total, [&](size_t k) {
       return make_candidate(k / tb.size(), k % tb.size());
     });

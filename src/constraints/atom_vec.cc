@@ -26,7 +26,8 @@ const DenseAtom* AtomArena::Place(const DenseAtom* atoms, size_t n) {
 AtomVec::AtomVec(std::vector<DenseAtom> atoms) {
   size_ = static_cast<uint32_t>(atoms.size());
   if (atoms.size() <= kInlineAtoms) {
-    std::memcpy(inline_, atoms.data(), atoms.size() * sizeof(DenseAtom));
+    // std::copy, not memcpy: an empty vector's data() may be null.
+    std::copy(atoms.begin(), atoms.end(), inline_);
     return;
   }
   rep_ = Rep::kHeap;

@@ -26,21 +26,34 @@ struct Fingerprint {
   uint64_t hi;
 };
 
-// Order-sensitive 128-bit fingerprint of (canonical-form mode, arity, atom
-// list): two polynomial accumulations with distinct odd multipliers over
-// independently re-mixed per-atom hashes. The mode bit is part of the key
-// because the cached value — the canonical form — is a different string
-// under minimal vs full emission, and one cache may serve scopes of both
-// modes (the differential tests do exactly that).
+// A term's own word: a variable's column index or a constant's pool slot,
+// tagged in the low bit. Interning is canonical (equal values share a
+// slot), so distinct terms get distinct words.
+uint64_t TermWord(const Term& term) {
+  return term.is_var() ? static_cast<uint64_t>(term.var()) << 1
+                       : (static_cast<uint64_t>(term.const_slot()) << 1) | 1;
+}
+
+// Order-sensitive 128-bit fingerprint of (arity, atom count, atom list): two
+// polynomial accumulations with distinct odd multipliers over independently
+// re-mixed words. Each atom folds its own words — the lhs term, then the rhs
+// term with the operator — so two distinct lists always differ in some
+// folded word, and each accumulation step is a bijection of the running
+// value. DenseAtom::Hash is no substitute: it is a 64-bit digest that
+// collides on small constants (x0 >= 5 and x0 > 2 share one), and the
+// memo never compares keys.
 Fingerprint FingerprintOf(const GeneralizedTuple& tuple) {
   Fingerprint fp;
-  fp.lo = Mix64(static_cast<uint64_t>(tuple.arity()) * 2 +
-                (MinimalCanonicalEnabled() ? 1 : 0));
+  fp.lo = Mix64(static_cast<uint64_t>(tuple.arity()) << 32 |
+                static_cast<uint64_t>(tuple.atoms().size()));
   fp.hi = Mix64(fp.lo ^ 0x6a09e667f3bcc909ULL);
+  auto fold = [&fp](uint64_t word) {
+    fp.lo = fp.lo * 0x100000001b3ULL ^ Mix64(word);
+    fp.hi = fp.hi * 0xc6a4a7935bd1e995ULL ^ Mix64(word ^ 0x2545f4914f6cdd1dULL);
+  };
   for (const DenseAtom& atom : tuple.atoms()) {
-    const uint64_t h = static_cast<uint64_t>(atom.Hash());
-    fp.lo = fp.lo * 0x100000001b3ULL ^ Mix64(h);
-    fp.hi = fp.hi * 0xc6a4a7935bd1e995ULL ^ Mix64(h ^ 0x2545f4914f6cdd1dULL);
+    fold(TermWord(atom.lhs()));
+    fold(TermWord(atom.rhs()) << 3 | static_cast<uint64_t>(atom.op()));
   }
   return fp;
 }

@@ -24,10 +24,11 @@ namespace dodb {
 /// sides of the memo cheap: a miss stores only the canonical result (no
 /// 100+-atom key copy) and a hit does one table probe (no atom-by-atom key
 /// comparison). The fingerprint is two independent order-sensitive 64-bit
-/// accumulations over per-atom hashes, so two distinct atom lists collide
-/// only with probability ~2^-128 per pair — far below any realistic key-set
-/// size — and it is a pure function of the atoms, so lookups stay
-/// deterministic across runs and thread counts.
+/// accumulations over the atoms' own words (term indexes, constant-pool
+/// slots and operators — never a lossy per-atom hash), so two distinct atom
+/// lists collide only with probability ~2^-128 per pair — far below any
+/// realistic key-set size — and it is a pure function of the atoms, so
+/// lookups stay deterministic across runs and thread counts.
 ///
 /// Thread-safe: the table is sharded into hash-bucketed stripes, each under
 /// its own mutex, so pool workers canonicalizing in parallel rarely contend.
@@ -70,8 +71,8 @@ class ClosureCache {
 /// reaches pool workers without relying on thread-local inheritance.
 ClosureCache* CurrentClosureCache();
 
-/// RAII thread-local override of CurrentClosureCache(), mirroring
-/// IndexModeScope. nullptr disables memoization within the scope.
+/// RAII thread-local override of CurrentClosureCache(). nullptr disables
+/// memoization within the scope.
 class ClosureCacheScope {
  public:
   explicit ClosureCacheScope(ClosureCache* cache);

@@ -177,16 +177,11 @@ GeneralizedRelation EliminateVariable(const GeneralizedRelation& relation,
   // Per-tuple elimination is a pure function of the tuple (it builds fresh
   // constraint networks throughout); the subsumption-sensitive merge runs
   // sequentially in input order, so the output is bit-identical to the
-  // inline loop above at any thread count. The closure-sweep and
-  // canonical-form modes and the guard are read here and re-installed per
-  // job — workers don't inherit the thread-local scopes.
-  const bool closure_fast = ClosureFastPathEnabled();
-  const bool minimal = MinimalCanonicalEnabled();
+  // inline loop above at any thread count. The guard is read here and
+  // re-installed per job — workers don't inherit the thread-local scope.
   std::vector<GeneralizedRelation> parts =
       ParallelMap<GeneralizedRelation>(
-          tuples.size(), [&, closure_fast, minimal, guard](size_t i) {
-            ClosureFastPathScope sweep(closure_fast);
-            MinimalCanonicalScope canonical_mode(minimal);
+          tuples.size(), [&, guard](size_t i) {
             QueryGuardScope guard_scope(guard);
             if (guard != nullptr) {
               if ((i & 63) == 63 &&

@@ -56,11 +56,6 @@ Counters& Global() {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-thread_local bool tls_indexing_enabled = true;
-thread_local bool tls_sharding_enabled = true;
-thread_local bool tls_closure_fastpath = true;
-thread_local bool tls_minimal_canonical = true;
-
 std::string Millis(uint64_t ns) {
   return StrCat(ns / 1000000, ".", (ns / 100000) % 10, " ms");
 }
@@ -321,42 +316,6 @@ std::string EvalCounterSnapshot::ToString() const {
       "  paged runs fetched           ", paged_runs_fetched, "\n",
       "  paged spill bytes            ", paged_spill_bytes, "\n",
       "  paged materializations       ", paged_materializations, "\n");
-}
-
-bool IndexingEnabled() { return tls_indexing_enabled; }
-
-IndexModeScope::IndexModeScope(bool enabled) : prev_(tls_indexing_enabled) {
-  tls_indexing_enabled = enabled;
-}
-
-IndexModeScope::~IndexModeScope() { tls_indexing_enabled = prev_; }
-
-bool ShardingEnabled() { return tls_sharding_enabled; }
-
-ShardModeScope::ShardModeScope(bool enabled) : prev_(tls_sharding_enabled) {
-  tls_sharding_enabled = enabled;
-}
-
-ShardModeScope::~ShardModeScope() { tls_sharding_enabled = prev_; }
-
-bool ClosureFastPathEnabled() { return tls_closure_fastpath; }
-
-ClosureFastPathScope::ClosureFastPathScope(bool enabled)
-    : prev_(tls_closure_fastpath) {
-  tls_closure_fastpath = enabled;
-}
-
-ClosureFastPathScope::~ClosureFastPathScope() { tls_closure_fastpath = prev_; }
-
-bool MinimalCanonicalEnabled() { return tls_minimal_canonical; }
-
-MinimalCanonicalScope::MinimalCanonicalScope(bool enabled)
-    : prev_(tls_minimal_canonical) {
-  tls_minimal_canonical = enabled;
-}
-
-MinimalCanonicalScope::~MinimalCanonicalScope() {
-  tls_minimal_canonical = prev_;
 }
 
 }  // namespace dodb

@@ -114,105 +114,6 @@ class EvalCounters {
   static EvalCounterSnapshot Snapshot();
 };
 
-/// Whether the signature/index fast paths are enabled on this thread.
-/// Defaults to true; evaluators install an IndexModeScope from
-/// EvalOptions::use_index so the legacy all-pairs path stays selectable as
-/// an ablation baseline. Outputs are bit-identical either way — the index
-/// only skips provably-unsatisfiable candidates and provably-non-subsuming
-/// comparisons.
-bool IndexingEnabled();
-
-/// RAII thread-local override of IndexingEnabled(), mirroring
-/// EvalThreadsScope. The setting travels into pool workers through
-/// EvalOptions (each rule job installs its own scope), not through thread
-/// inheritance.
-class IndexModeScope {
- public:
-  explicit IndexModeScope(bool enabled);
-  ~IndexModeScope();
-  IndexModeScope(const IndexModeScope&) = delete;
-  IndexModeScope& operator=(const IndexModeScope&) = delete;
-
- private:
-  bool prev_;
-};
-
-/// Whether the sharded storage fast paths (shard-pair pruned joins,
-/// shard-skipping subsumption scans, the selectivity planner) are enabled on
-/// this thread. Defaults to true; only consulted when IndexingEnabled() also
-/// holds — shards live inside the relation index. Outputs are bit-identical
-/// either way: shard-pair pruning removes only pairs the per-pair signature
-/// test would remove, and the planner only changes enumeration order /
-/// fold order of canonically order-independent merges.
-bool ShardingEnabled();
-
-/// RAII thread-local override of ShardingEnabled(), mirroring
-/// IndexModeScope (travels into pool workers through EvalOptions).
-class ShardModeScope {
- public:
-  explicit ShardModeScope(bool enabled);
-  ~ShardModeScope();
-  ShardModeScope(const ShardModeScope&) = delete;
-  ShardModeScope& operator=(const ShardModeScope&) = delete;
-
- private:
-  bool prev_;
-};
-
-/// Whether OrderGraph::Close uses the restricted path-consistency sweep
-/// (skip compositions through unconstrained edges; skip refinement of
-/// constant-constant pairs, whose seeded relation is exact). Defaults to
-/// true; disabling it restores the previous milestone's full PC-1 sweep as
-/// an ablation baseline for the perf benchmarks. The restricted sweep
-/// reaches the same unique path-consistent fixpoint and the same
-/// satisfiability verdict (see the proof sketch in order_graph.cc), so the
-/// setting never changes any result, only wall-clock.
-bool ClosureFastPathEnabled();
-
-/// RAII thread-local override of ClosureFastPathEnabled(). Canonicalization
-/// runs on pool workers, so the parallel insertion paths read the flag on
-/// the dispatching thread and re-install it inside each worker job, the same
-/// way the closure memo pointer travels.
-class ClosureFastPathScope {
- public:
-  explicit ClosureFastPathScope(bool enabled);
-  ~ClosureFastPathScope();
-  ClosureFastPathScope(const ClosureFastPathScope&) = delete;
-  ClosureFastPathScope& operator=(const ClosureFastPathScope&) = delete;
-
- private:
-  bool prev_;
-};
-
-/// Whether OrderGraph::CanonicalAtoms emits the minimal canonical form:
-/// per variable only the tightest constant lower and upper bound (plus
-/// equality and surviving inequations), dropping every var-const atom
-/// implied by transitivity through the constant scale. Defaults to true;
-/// disabling it restores the previous milestone's full closure form (one
-/// atom per informative var-const pair) as an ablation baseline. The two
-/// forms are logically equivalent conjunctions — see DESIGN.md §12 — but
-/// they are *different strings*, so the mode is part of the canonical-form
-/// contract: relations built under one mode must not be structurally
-/// compared against relations built under the other (semantic comparison
-/// via cells::SemanticallyEqual is mode-oblivious), and the closure cache
-/// keys its fingerprints on the mode bit.
-bool MinimalCanonicalEnabled();
-
-/// RAII thread-local override of MinimalCanonicalEnabled(), mirroring
-/// ClosureFastPathScope: canonicalization runs on pool workers, so the
-/// parallel insertion paths read the flag on the dispatching thread and
-/// re-install it inside each worker job.
-class MinimalCanonicalScope {
- public:
-  explicit MinimalCanonicalScope(bool enabled);
-  ~MinimalCanonicalScope();
-  MinimalCanonicalScope(const MinimalCanonicalScope&) = delete;
-  MinimalCanonicalScope& operator=(const MinimalCanonicalScope&) = delete;
-
- private:
-  bool prev_;
-};
-
 }  // namespace dodb
 
 #endif  // DODB_CONSTRAINTS_EVAL_COUNTERS_H_

@@ -198,9 +198,6 @@ void GeneralizedRelation::AddCanonicalTuple(GeneralizedTuple canonical) {
 bool GeneralizedRelation::AddCanonicalTupleCaptured(
     GeneralizedTuple canonical, std::vector<GeneralizedTuple>* captured) {
   DODB_CHECK_MSG(canonical.arity() == arity_, "AddTuple arity mismatch");
-  if (!IndexingEnabled()) {
-    return AddCanonicalTupleLegacy(std::move(canonical), captured);
-  }
   RelationIndex* index = MutableIndex();
   const TupleSignature& signature = canonical.CachedSignature();
   const std::vector<GeneralizedTuple>& stored = tuples();
@@ -269,59 +266,9 @@ bool GeneralizedRelation::EraseCanonicalTuple(
   auto pos = std::lower_bound(stored.begin(), stored.end(), canonical);
   if (pos == stored.end() || pos->Compare(canonical) != 0) return false;
   size_t at = static_cast<size_t>(pos - stored.begin());
-  if (!IndexingEnabled()) {
-    // A legacy-mode mutation would leave a stale index behind; drop it and
-    // let the next indexed use rebuild lazily (same rule as legacy inserts).
-    index_.reset();
-  } else {
-    MutableIndex()->EraseAt(at);
-  }
+  MutableIndex()->EraseAt(at);
   std::vector<GeneralizedTuple>& tuples = MutableTuples();
   tuples.erase(tuples.begin() + at);
-  return true;
-}
-
-bool GeneralizedRelation::AddCanonicalTupleLegacy(
-    GeneralizedTuple canonical, std::vector<GeneralizedTuple>* captured) {
-  // A legacy-mode mutation would leave a stale index behind; drop it and let
-  // the next indexed use rebuild lazily.
-  index_.reset();
-  const std::vector<GeneralizedTuple>& stored = tuples();
-  // Exact duplicates are by far the common case in fixpoint loops: reject
-  // them with a binary search before the linear subsumption scan. Duplicate
-  // and subsumed candidates return before MutableTuples(), so they never
-  // detach a shared (copy-on-write) vector.
-  auto dup = std::lower_bound(stored.begin(), stored.end(), canonical);
-  size_t insert_at = static_cast<size_t>(dup - stored.begin());
-  if (dup != stored.end() && dup->Compare(canonical) == 0) return false;
-  // Subsumption pruning: skip if an existing tuple covers it; drop existing
-  // tuples it covers.
-  size_t checks = 0;
-  for (const GeneralizedTuple& existing : stored) {
-    ++checks;
-    if (canonical.EntailsTuple(existing)) {
-      EvalCounters::AddSubsumptionChecks(checks);
-      return false;
-    }
-  }
-  std::vector<GeneralizedTuple>& tuples = MutableTuples();
-  size_t size_before = tuples.size();
-  std::erase_if(tuples, [&](const GeneralizedTuple& existing) {
-    ++checks;
-    bool erase = existing.EntailsTuple(canonical);
-    if (erase && captured != nullptr) captured->push_back(existing);
-    return erase;
-  });
-  EvalCounters::AddSubsumptionChecks(checks);
-  if (tuples.size() != size_before) {
-    // Only re-search when the erase actually shifted elements; otherwise the
-    // first search position is still exact.
-    insert_at = static_cast<size_t>(
-        std::lower_bound(tuples.begin(), tuples.end(), canonical) -
-        tuples.begin());
-  }
-  PlaceInArena(canonical);
-  tuples.insert(tuples.begin() + insert_at, std::move(canonical));
   return true;
 }
 
@@ -363,22 +310,18 @@ void GeneralizedRelation::AddTuplesParallel(
   }
   // Parallel phase: satisfiability + canonicalization per candidate, each a
   // pure function of its index. Sequential phase: the same insertions, in
-  // the same order, as the inline loop above. The memo pointer, the
-  // closure-sweep and canonical-form modes and the guard are read on the
-  // calling thread and captured by value — worker threads don't inherit the
-  // thread-local scopes. The first worker to trip flips the shared flag; siblings see it
-  // at their next strided checkpoint and bail without doing more closure
-  // work (their slots stay empty, which is fine: a tripped run never
-  // surfaces the merged relation, only the guard's Status).
+  // the same order, as the inline loop above. The memo pointer and the
+  // guard are read on the calling thread and captured by value — worker
+  // threads don't inherit the thread-local scopes. The first worker to trip
+  // flips the shared flag; siblings see it at their next strided checkpoint
+  // and bail without doing more closure work (their slots stay empty, which
+  // is fine: a tripped run never surfaces the merged relation, only the
+  // guard's Status).
   EvalCounters::AddCanonicalized(n);
   ClosureCache* memo = CurrentClosureCache();
-  const bool closure_fast = ClosureFastPathEnabled();
-  const bool minimal = MinimalCanonicalEnabled();
   std::vector<std::optional<GeneralizedTuple>> prepared =
       ParallelMap<std::optional<GeneralizedTuple>>(
-          n, [&make, memo, closure_fast, minimal, guard](size_t i) {
-            ClosureFastPathScope sweep(closure_fast);
-            MinimalCanonicalScope canonical_mode(minimal);
+          n, [&make, memo, guard](size_t i) {
             QueryGuardScope guard_scope(guard);
             if (guard != nullptr) {
               if ((i & 63) == 63 && !guard->Checkpoint(kSite)) {

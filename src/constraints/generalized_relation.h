@@ -138,8 +138,7 @@ class GeneralizedRelation {
 
   /// Structurally removes the stored tuple equal to `canonical` (Compare ==
   /// 0); returns whether it was present. The index mirror is maintained
-  /// incrementally (no rebuild); in legacy (unindexed) mode the stale index
-  /// snapshot is dropped instead. Note this is *structural* removal — the
+  /// incrementally (no rebuild). Note this is *structural* removal — the
   /// semantic counterpart (pointset subtraction) is algebra::Difference.
   bool EraseCanonicalTuple(const GeneralizedTuple& canonical);
 
@@ -166,12 +165,10 @@ class GeneralizedRelation {
   bool StructurallyEquals(const GeneralizedRelation& other) const;
 
   /// The relation's constraint-signature index, built lazily from the
-  /// stored tuples and thereafter maintained incrementally by
-  /// AddCanonicalTuple (while IndexingEnabled(); a legacy-mode mutation
-  /// drops it so it can never go stale). Copies share the index until one
-  /// of them mutates. Not safe to call concurrently on a relation shared
-  /// across threads — mutation, and hence indexing, happens on the owning
-  /// thread only.
+  /// stored tuples and thereafter maintained incrementally by every
+  /// mutation. Copies share the index until one of them mutates. Not safe
+  /// to call concurrently on a relation shared across threads — mutation,
+  /// and hence indexing, happens on the owning thread only.
   const RelationIndex& Index() const;
 
   /// "{ tuple ; tuple ; ... }" or "{}".
@@ -181,12 +178,6 @@ class GeneralizedRelation {
   /// Index() that is safe to mutate: clones a shared snapshot first, builds
   /// from scratch when absent.
   RelationIndex* MutableIndex();
-
-  /// Pre-index insertion path (all-pairs subsumption scan), kept selectable
-  /// via EvalOptions::use_index for differential testing and benchmarking.
-  /// Bit-identical relation state to the indexed path.
-  bool AddCanonicalTupleLegacy(GeneralizedTuple canonical,
-                               std::vector<GeneralizedTuple>* erased);
 
   /// Moves an accepted tuple's heap-backed atom list into this relation's
   /// arena (allocating the arena on first use); counts a reuse hit when the

@@ -119,28 +119,16 @@ void OrderGraph::Set(int a, int b, PaRel rel) {
   rel_[b * n + a] = PaInverse(rel);
 }
 
-void OrderGraph::EnsureMatrix(bool seed_constants) {
+void OrderGraph::EnsureMatrix() {
   int n = num_nodes();
   rel_.assign(static_cast<size_t>(n) * n, kPaAll);
   for (int i = 0; i < n; ++i) rel_[i * n + i] = kPaEq;
   // Constant nodes carry their exact mutual order; record it as value ranks
-  // (the map iterates in value order). The restricted sweep reads
-  // constant-constant relations through RelAt, so the O(C^2) matrix seeding
-  // is only materialized for the legacy full sweep, which visits those
-  // entries directly.
+  // (the map iterates in value order). Constant-constant relations are read
+  // through RelAt, never from the matrix, so no O(C^2) seeding is needed.
   const_rank_.assign(n, 0);
   int rank = 0;
   for (const auto& [value, node] : constant_nodes_) const_rank_[node] = rank++;
-  if (seed_constants) {
-    for (auto it = constant_nodes_.begin(); it != constant_nodes_.end();
-         ++it) {
-      auto jt = it;
-      for (++jt; jt != constant_nodes_.end(); ++jt) {
-        // it->first < jt->first by map order.
-        Set(it->second, jt->second, kPaLt);
-      }
-    }
-  }
 }
 
 PaRel OrderGraph::RelAt(int i, int j) const {
@@ -158,8 +146,7 @@ bool OrderGraph::Close() {
   closed_ = true;
   satisfiable_ = !forced_unsat_;
   if (!satisfiable_) return false;
-  const bool fast = ClosureFastPathEnabled();
-  EnsureMatrix(/*seed_constants=*/!fast);
+  EnsureMatrix();
   int n = num_nodes();
   for (const auto& [edge, mask] : pending_) {
     PaRel cur = rel_[edge.first * n + edge.second] & mask;
@@ -170,20 +157,21 @@ bool OrderGraph::Close() {
     Set(edge.first, edge.second, cur);
   }
   // Path consistency (PC-1). Node counts per tuple are small, so the simple
-  // fixpoint loop is preferable to a queue-based PC-2. The restricted sweep
-  // (default; ClosureFastPathEnabled) adds two sound skips that keep the
-  // loop from drowning in constant nodes (canonical tuples mention one node
-  // per distinct constant, and those dominate n on realistic data):
+  // fixpoint loop is preferable to a queue-based PC-2. The sweep is
+  // restricted by two sound skips that keep the loop from drowning in
+  // constant nodes (canonical tuples mention one node per distinct constant,
+  // and those dominate n on realistic data):
   //   - PaCompose(kPaAll, r) == PaCompose(r, kPaAll) == kPaAll for every
   //     nonempty r, so compositions through an unconstrained edge never
   //     refine anything.
-  //   - Constant-constant entries are seeded with the exact basic relation
-  //     realized by the two values, so the only possible "refinement" is to
-  //     empty; at the fixpoint of the remaining triangles that cannot
+  //   - Constant-constant entries (answered by RelAt from value ranks) hold
+  //     the exact basic relation realized by the two values, so the only
+  //     possible "refinement" is to empty, and constant rows skip constant
+  //     columns; at the fixpoint of the remaining triangles emptying cannot
   //     happen. Sketch: suppose composing i -> k -> j would empty the
-  //     constant pair (i, j) with seeded basic relation b(i,j). k must be a
+  //     constant pair (i, j) with basic relation b(i,j). k must be a
   //     variable (constant-constant-constant triangles are consistent by
-  //     construction: the seeds are realized by actual values). Emptiness
+  //     construction: the ranks are realized by actual values). Emptiness
   //     means PaCompose(rel(i,k), rel(k,j)) excludes b(i,j); but the
   //     variable-involved pair (k, j) is enforced at the restricted
   //     fixpoint, i.e. rel(k,j) <= PaCompose(PaInverse(rel(i,k)), b(i,j)),
@@ -191,14 +179,11 @@ bool OrderGraph::Close() {
   //     The restricted fixpoint is therefore a fixpoint of the full PC-1
   //     operator; path-consistent closure is unique, so the matrix and the
   //     satisfiability verdict are bit-identical to the full sweep's.
-  // The full sweep is kept selectable as the previous milestone's
-  // behaviour, so perf benchmarks can ablate the restriction.
   // A guard trip abandons the sweep with closed_ reset, so no cached
   // verdict survives from a partially propagated matrix; the caller's
   // current computation is discarded (the evaluator returns the trip
   // Status) and a later re-Close restarts from the pending edges.
   GuardTicker ticker(CurrentQueryGuard(), GuardSite::kClosureSweep);
-  const int nv = fast ? num_vars_ : n;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -210,12 +195,12 @@ bool OrderGraph::Close() {
           return false;
         }
         PaRel rik = RelAt(i, k);
-        if (fast && rik == kPaAll) continue;
-        const int j_limit = (i < nv) ? n : nv;
+        if (rik == kPaAll) continue;
+        const int j_limit = (i < num_vars_) ? n : num_vars_;
         for (int j = 0; j < j_limit; ++j) {
           if (j == i || j == k) continue;
           PaRel rkj = RelAt(k, j);
-          if (fast && rkj == kPaAll) continue;
+          if (rkj == kPaAll) continue;
           PaRel composed = PaCompose(rik, rkj);
           PaRel cur = RelAt(i, j);
           PaRel refined = cur & composed;
@@ -294,7 +279,6 @@ AtomVec OrderGraph::CanonicalAtomVec() {
   DODB_CHECK_MSG(sat, "CanonicalAtoms on unsatisfiable network");
   AtomVec atoms;
   int n = num_nodes();
-  const bool minimal = MinimalCanonicalEnabled();
   // Constants all have node ids >= num_vars_, so the pairs that survive the
   // constant-constant skip are exactly var-var (i < j) and var-const. Walking
   // the var partner block in index order and the constant partner block in
@@ -309,19 +293,6 @@ AtomVec OrderGraph::CanonicalAtomVec() {
       if (rel == kPaAll) continue;
       atoms.push_back(
           DenseAtom(node_terms_[i], PaToRelOp(rel), node_terms_[j]));
-    }
-    if (!minimal) {
-      // Full form: one atom per informative var-const pair. A tuple at
-      // transitive-closure depth d mentions ~d constants, so this block —
-      // and with it every downstream compare, hash and re-closure — grows
-      // linearly with derivation depth.
-      for (const auto& [value, node] : constant_nodes_) {
-        PaRel rel = rel_[i * n + node];
-        if (rel == kPaAll) continue;
-        atoms.push_back(
-            DenseAtom(node_terms_[i], PaToRelOp(rel), node_terms_[node]));
-      }
-      continue;
     }
     // Minimal form: drop every var-const atom implied by transitivity
     // through the constant scale. After closure the relation of x_i to the

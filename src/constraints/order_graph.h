@@ -77,20 +77,15 @@ class OrderGraph {
   /// fragment). An unsatisfiable network entails everything.
   bool Entails(const DenseAtom& atom);
 
-  /// Deterministic canonical conjunction equivalent to the closure,
-  /// skipping constant-constant pairs. Var-var pairs always emit their
-  /// informative closed relation. Var-const pairs depend on the mode:
-  ///   - full form (MinimalCanonicalEnabled() == false): one atom per
-  ///     informative pair, the previous milestone's behaviour;
-  ///   - minimal form (default): per variable only the equality atom when
-  ///     one exists, else the tightest lower bound, the tightest upper
-  ///     bound, and the surviving inequations — every other var-const atom
-  ///     is implied by transitivity through the constant scale (proof
-  ///     sketch in the implementation and DESIGN.md §12).
-  /// Both forms are logically equivalent to the closure; they differ as
-  /// strings, so the mode must be held fixed across tuples that are
-  /// structurally compared. Empty when the network is unsatisfiable is NOT
-  /// the convention: call IsSatisfiable() first.
+  /// Deterministic canonical conjunction equivalent to the closure (the
+  /// minimal form), skipping constant-constant pairs. Var-var pairs emit
+  /// their informative closed relation. Var-const pairs emit, per variable,
+  /// only the equality atom when one exists, else the tightest lower bound,
+  /// the tightest upper bound, and the surviving inequations — every other
+  /// var-const atom is implied by transitivity through the constant scale
+  /// (proof sketch in the implementation and DESIGN.md §12). Empty when the
+  /// network is unsatisfiable is NOT the convention: call IsSatisfiable()
+  /// first.
   std::vector<DenseAtom> CanonicalAtoms();
 
   /// CanonicalAtoms() into an AtomVec (small lists stay inline — the
@@ -109,12 +104,12 @@ class OrderGraph {
 
  private:
   int NodeForConstant(const Rational& value);
-  void EnsureMatrix(bool seed_constants);
+  void EnsureMatrix();
   void Set(int a, int b, PaRel rel);
   /// Closed-matrix entry (i, j). Constant-constant pairs are answered from
   /// the value-rank array — their relation is the exact basic order of the
-  /// two values, which seeding would only copy into the matrix; everything
-  /// else reads the matrix. Valid whether or not the matrix was seeded.
+  /// two values, never stored in the matrix; everything else reads the
+  /// matrix.
   PaRel RelAt(int i, int j) const;
 
   int num_vars_;

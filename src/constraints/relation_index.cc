@@ -151,7 +151,7 @@ bool RelationIndex::MayContainHash(size_t hash) const {
 
 void RelationIndex::AppendOverlapCandidates(const TupleSignature& probe,
                                             std::vector<size_t>* out) const {
-  if (ShardingEnabled() && signatures_.size() >= RelationShards::kMinTuples) {
+  if (signatures_.size() >= RelationShards::kMinTuples) {
     const RelationShards* shards = Shards();
     const size_t num_shards = shards->shard_count();
     if (num_shards > 1) {

@@ -191,14 +191,13 @@ class QueryGuard {
 };
 
 /// The guard governing evaluation on this thread, or nullptr. Like the
-/// index/shard/closure mode scopes, the pointer does NOT inherit into pool
-/// workers: parallel dispatch sites read it on the dispatching thread,
-/// capture it by value, and re-install it inside each worker job with a
-/// QueryGuardScope.
+/// closure memo scope, the pointer does NOT inherit into pool workers:
+/// parallel dispatch sites read it on the dispatching thread, capture it by
+/// value, and re-install it inside each worker job with a QueryGuardScope.
 QueryGuard* CurrentQueryGuard();
 
-/// RAII thread-local install of CurrentQueryGuard(), mirroring
-/// IndexModeScope. nullptr uninstalls for the scope's extent.
+/// RAII thread-local install of CurrentQueryGuard(). nullptr uninstalls for
+/// the scope's extent.
 class QueryGuardScope {
  public:
   explicit QueryGuardScope(QueryGuard* guard);

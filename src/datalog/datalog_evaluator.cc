@@ -147,23 +147,19 @@ constexpr char kDeltaRelationName[] = "__dodb_delta";
 }  // namespace
 
 // Populates and closes the lazily cached constraint network of every stored
-// tuple — and, when indexing is on, each tuple's signature and each
-// relation's constraint-signature index. Copies of these tuples and
-// relations made inside pool workers share the caches, and all of them are
-// read-only once warm — so after warming, concurrent rule evaluations may
-// read the snapshot freely, and every job in the round probes the one
-// snapshot index instead of rebuilding its own.
+// tuple, each tuple's signature and each relation's constraint-signature
+// index. Copies of these tuples and relations made inside pool workers share
+// the caches, and all of them are read-only once warm — so after warming,
+// concurrent rule evaluations may read the snapshot freely, and every job in
+// the round probes the one snapshot index instead of rebuilding its own.
 static void WarmRelationCaches(const GeneralizedRelation& rel) {
   for (const GeneralizedTuple& tuple : rel.tuples()) {
     tuple.IsSatisfiable();
-    if (IndexingEnabled()) tuple.CachedSignature();
+    tuple.CachedSignature();
   }
-  if (IndexingEnabled()) {
-    rel.Index();
-    // Fault in the shard partition too, so concurrent shard-pair jobs read
-    // a warm structure instead of serializing on the lazy-build mutex.
-    if (ShardingEnabled()) rel.Index().Shards();
-  }
+  // Fault in the shard partition too, so concurrent shard-pair jobs read a
+  // warm structure instead of serializing on the lazy-build mutex.
+  rel.Index().Shards();
 }
 
 void WarmDatabaseCaches(const Database& db) {
@@ -272,7 +268,7 @@ Status DatalogEvaluator::RunToFixpoint(
 
     // Plan the round's independent firings up front (in rule order), then
     // evaluate them on the pool and merge sequentially in plan order — the
-    // same derivation sequence as the legacy one-rule-at-a-time loop, so
+    // same derivation sequence as a one-rule-at-a-time loop, so
     // the fixpoint trajectory is bit-identical at any thread count.
     std::vector<RuleJob> jobs;
     for (const DatalogRule* rule : rules) {
@@ -434,14 +430,6 @@ Result<Database> DatalogEvaluator::Evaluate() {
     ~GuardOptionRestore() { options->guard = prev; }
   } guard_restore{&options_.eval_options, caller_guard};
   DODB_RETURN_IF_ERROR(guard.status());
-  // Rule jobs re-install their scopes from eval_options inside their own
-  // FoEvaluator; these cover the sequential merge phases.
-  IndexModeScope index_mode(options_.eval_options.use_index);
-  ShardModeScope shard_mode(options_.eval_options.use_index &&
-                            options_.eval_options.use_shards);
-  ClosureFastPathScope closure_mode(options_.eval_options.use_closure_fastpath);
-  MinimalCanonicalScope canonical_mode(
-      options_.eval_options.use_minimal_canonical);
   // One closure memo spanning every round and stratum: semi-naive refirings
   // keep re-deriving the same candidate conjunctions, so later rounds serve
   // most canonicalizations from the memo. Installed into eval_options so
@@ -449,17 +437,13 @@ Result<Database> DatalogEvaluator::Evaluate() {
   // restored on exit since the memo dies with this call.
   ClosureCache memo;
   ClosureCache* caller_memo = options_.eval_options.closure_cache;
-  if (options_.eval_options.use_closure_memo && caller_memo == nullptr) {
-    options_.eval_options.closure_cache = &memo;
-  }
+  if (caller_memo == nullptr) options_.eval_options.closure_cache = &memo;
   struct MemoOptionRestore {
     EvalOptions* options;
     ClosureCache* prev;
     ~MemoOptionRestore() { options->closure_cache = prev; }
   } memo_restore{&options_.eval_options, caller_memo};
-  ClosureCacheScope memo_scope(options_.eval_options.use_closure_memo
-                                   ? options_.eval_options.closure_cache
-                                   : nullptr);
+  ClosureCacheScope memo_scope(options_.eval_options.closure_cache);
   CounterDeltaScope counters(&counters_);
   DODB_RETURN_IF_ERROR(program_.Validate(*edb_));
   iterations_ = 0;

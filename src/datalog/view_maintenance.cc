@@ -51,9 +51,8 @@ bool IsViewName(const std::string& name) {
 // Installs the evaluation scopes one maintenance pass needs, mirroring
 // DatalogEvaluator::Evaluate(): the thread-count override, a resolved guard
 // (shared by the sequential merge phases via the thread-local scope and by
-// every rule job via eval_options), the index/shard/closure mode scopes for
-// the merge phases, and the view's persistent closure memo. Also owns the
-// pass's wall-clock attribution: the elapsed time lands in the
+// every rule job via eval_options), and the view's persistent closure memo.
+// Also owns the pass's wall-clock attribution: the elapsed time lands in the
 // view_maintenance_ns counter at destruction.
 class MaintenancePass {
  public:
@@ -63,16 +62,10 @@ class MaintenancePass {
         guard_(options_.eval_options.guard, options_.eval_options.limits,
                options_.eval_options.fault_spec),
         guard_scope_(guard_.get()),
-        index_mode_(options_.eval_options.use_index),
-        shard_mode_(options_.eval_options.use_index &&
-                    options_.eval_options.use_shards),
-        closure_mode_(options_.eval_options.use_closure_fastpath),
-        canonical_mode_(options_.eval_options.use_minimal_canonical),
-        memo_scope_(options_.eval_options.use_closure_memo ? memo : nullptr),
+        memo_scope_(memo),
         start_(std::chrono::steady_clock::now()) {
     options_.eval_options.guard = guard_.get();
-    if (options_.eval_options.use_closure_memo &&
-        options_.eval_options.closure_cache == nullptr) {
+    if (options_.eval_options.closure_cache == nullptr) {
       options_.eval_options.closure_cache = memo;
     }
   }
@@ -97,10 +90,6 @@ class MaintenancePass {
   EvalThreadsScope threads_;
   ResolvedGuard guard_;
   QueryGuardScope guard_scope_;
-  IndexModeScope index_mode_;
-  ShardModeScope shard_mode_;
-  ClosureFastPathScope closure_mode_;
-  MinimalCanonicalScope canonical_mode_;
   ClosureCacheScope memo_scope_;
   std::chrono::steady_clock::time_point start_;
 };

@@ -47,25 +47,18 @@ class CounterDeltaScope {
 
 // Installs the full set of evaluation scopes an options struct implies;
 // groups them so Evaluate and EvaluateFormula stay in sync. The local memo
-// backs use_closure_memo when the caller didn't supply a shared one, and
-// the resolved guard (ResolvedGuard's precedence: explicit > inherited from
-// this thread > locally owned when limits ask for one) is installed for
-// every operator underneath to observe.
+// serves when the caller didn't supply a shared one, and the resolved guard
+// (ResolvedGuard's precedence: explicit > inherited from this thread >
+// locally owned when limits ask for one) is installed for every operator
+// underneath to observe.
 class EvalScopes {
  public:
   explicit EvalScopes(const EvalOptions& options)
       : guard_(options.guard, options.limits, options.fault_spec),
         guard_scope_(guard_.get()),
         threads_(options.num_threads),
-        index_mode_(options.use_index),
-        shard_mode_(options.use_index && options.use_shards),
-        closure_mode_(options.use_closure_fastpath),
-        canonical_mode_(options.use_minimal_canonical),
-        memo_scope_(!options.use_closure_memo
-                        ? nullptr
-                        : (options.closure_cache != nullptr
-                               ? options.closure_cache
-                               : &local_memo_)) {}
+        memo_scope_(options.closure_cache != nullptr ? options.closure_cache
+                                                     : &local_memo_) {}
 
   QueryGuard* guard() const { return guard_.get(); }
   const Status& guard_status() const { return guard_.status(); }
@@ -75,10 +68,6 @@ class EvalScopes {
   ResolvedGuard guard_;
   QueryGuardScope guard_scope_;
   EvalThreadsScope threads_;
-  IndexModeScope index_mode_;
-  ShardModeScope shard_mode_;
-  ClosureFastPathScope closure_mode_;
-  MinimalCanonicalScope canonical_mode_;
   ClosureCacheScope memo_scope_;
 };
 
@@ -199,7 +188,7 @@ Result<FoEvaluator::Binding> FoEvaluator::Eval(const Formula& formula) {
     }
     case FormulaKind::kAnd:
     case FormulaKind::kOr: {
-      if (formula.kind == FormulaKind::kAnd && ShardingEnabled()) {
+      if (formula.kind == FormulaKind::kAnd) {
         std::vector<const Formula*> conjuncts;
         FlattenAnd(formula, &conjuncts);
         if (conjuncts.size() >= 3) return EvalAndChain(conjuncts);

@@ -26,50 +26,14 @@ struct EvalOptions {
   bool optimize = false;
   /// Worker threads for tuple-parallel algebra, quantifier elimination and
   /// Datalog rule firing. 0 = auto: the DODB_THREADS environment override
-  /// when set, else std::thread::hardware_concurrency(). 1 = the exact
-  /// single-threaded legacy path. Canonical results are bit-identical at
-  /// every setting; only wall-clock changes.
+  /// when set, else std::thread::hardware_concurrency(). 1 = sequential,
+  /// no pool involvement. Canonical results are bit-identical at every
+  /// setting; only wall-clock changes.
   int num_threads = 0;
-  /// Use the constraint-signature index (pruned join candidate pairs, hash
-  /// duplicate rejection, overlap-restricted subsumption scans). false =
-  /// the legacy all-pairs path, kept as an ablation baseline. Results are
-  /// bit-identical at either setting; only wall-clock changes.
-  bool use_index = true;
-  /// Partition large relations into signature-bound shards (relation_shards)
-  /// and route joins, subsumption scans and multi-way intersect folds
-  /// through shard-pair pruning and the selectivity planner
-  /// (algebra/join_planner). Only active when use_index is also set; false =
-  /// the flat indexed path of the previous milestone, kept as an ablation
-  /// baseline. Results are bit-identical at either setting and at any
-  /// thread count; only wall-clock changes.
-  bool use_shards = true;
-  /// Memoize closure canonicalizations by raw atom list for the duration of
-  /// an evaluation — and, under the Datalog evaluator, across every
-  /// fixpoint round and stratum (closure_cache.h). Bit-identical either
-  /// way; only wall-clock changes.
-  bool use_closure_memo = true;
-  /// The memo to install (owned by the caller; the Datalog evaluator shares
-  /// one across all rule jobs). nullptr = each evaluation creates its own
-  /// when use_closure_memo is set.
+  /// The closure memo to install (closure_cache.h; owned by the caller —
+  /// the Datalog evaluator shares one across every fixpoint round, stratum
+  /// and rule job). nullptr = each evaluation memoizes into its own.
   ClosureCache* closure_cache = nullptr;
-  /// Run OrderGraph closures with the restricted path-consistency sweep
-  /// (skip no-op compositions through unconstrained edges and refinement of
-  /// exactly-seeded constant-constant pairs). false = the previous
-  /// milestone's full PC-1 sweep, kept selectable as an ablation baseline.
-  /// The restricted sweep reaches the same unique path-consistent fixpoint
-  /// (proof sketch in order_graph.cc), so results are bit-identical at
-  /// either setting; only wall-clock changes.
-  bool use_closure_fastpath = true;
-  /// Emit minimal canonical forms: per variable keep only the tightest
-  /// constant lower/upper bound (plus equality and surviving inequations),
-  /// dropping every var-const atom implied by transitivity through the
-  /// constant scale; var-var atoms are kept as before. false = the previous
-  /// milestone's full closure form, kept as an ablation baseline. The two
-  /// forms are logically equivalent (DESIGN.md §12) and yield identical
-  /// query *answers*, signatures, index routing and shard assignment — but
-  /// they are different canonical strings, so relations built under
-  /// different settings compare equal semantically, not structurally.
-  bool use_minimal_canonical = true;
   /// Query-level resource budgets (deadline, work-tuple budget, memory
   /// budget, mid-merge relation cap) enforced cooperatively at guard
   /// checkpoints inside every operator's hot loop, so a blowup aborts
@@ -87,15 +51,6 @@ struct EvalOptions {
   /// spec "<site>:<nth>" (core/fault_injection.h). Empty = the DODB_FAULT
   /// environment variable when set, else off.
   std::string fault_spec;
-  /// Whether catalog relations may live out-of-core behind the paged
-  /// record store (storage/record_store.h), streaming through the algebra
-  /// operators run by run instead of residing as tuple vectors. Purely a
-  /// memory/latency trade — results are bit-identical with the flag on or
-  /// off at any thread count and cache size. Consumed by the shell, the
-  /// benches and the differential tests when deciding which relations to
-  /// spill; evaluation itself handles mixed resident/paged inputs
-  /// transparently.
-  bool use_paged_storage = false;
 };
 
 struct EvalStats {

@@ -79,7 +79,7 @@ TransactionManager::TransactionManager(Database* db,
   std::lock_guard<std::mutex> lock(write_mu_);
   std::set<std::string> all;
   for (const std::string& name : db_->RelationNames()) all.insert(name);
-  PublishLocked(all);
+  PublishLocked(generation_, {}, NextSnapshotLocked(all));
 }
 
 std::unique_ptr<Transaction> TransactionManager::Begin() {
@@ -125,12 +125,8 @@ Result<std::string> TransactionManager::AutoCommit(std::string_view text) {
     // snapshot or a missed conflict.
     for (const std::string& name : db_->RelationNames()) changed.insert(name);
   }
-  {
-    std::lock_guard<std::mutex> slock(state_mu_);
-    ++generation_;
-    for (const std::string& name : changed) last_writer_[name] = generation_;
-  }
-  PublishLocked(WithDependentViews(std::move(changed)));
+  PublishLocked(generation_ + 1, changed,
+                NextSnapshotLocked(WithDependentViews(changed)));
   return result;
 }
 
@@ -195,14 +191,8 @@ Status TransactionManager::Commit(std::unique_ptr<Transaction> txn,
       }
     }
   }
-  {
-    std::lock_guard<std::mutex> slock(state_mu_);
-    generation_ = commit_generation;
-    for (const std::string& name : txn->written_) {
-      last_writer_[name] = commit_generation;
-    }
-  }
-  PublishLocked(WithDependentViews(txn->written_));
+  PublishLocked(commit_generation, txn->written_,
+                NextSnapshotLocked(WithDependentViews(txn->written_)));
   counters_.committed.fetch_add(1, std::memory_order_relaxed);
   if (warning != nullptr) *warning = std::move(warn);
   if (commit_generation_out != nullptr) {
@@ -281,7 +271,8 @@ std::set<std::string> TransactionManager::WithDependentViews(
   return changed;
 }
 
-void TransactionManager::PublishLocked(const std::set<std::string>& changed) {
+std::shared_ptr<const Database> TransactionManager::NextSnapshotLocked(
+    const std::set<std::string>& changed) const {
   std::shared_ptr<const Database> prev;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
@@ -302,8 +293,16 @@ void TransactionManager::PublishLocked(const std::set<std::string>& changed) {
     WarmRelation(&copy);
     next->SetRelation(name, std::move(copy));
   }
+  return next;
+}
+
+void TransactionManager::PublishLocked(uint64_t generation,
+                                       const std::set<std::string>& written,
+                                       std::shared_ptr<const Database> next) {
   {
     std::lock_guard<std::mutex> lock(state_mu_);
+    generation_ = generation;
+    for (const std::string& name : written) last_writer_[name] = generation;
     snapshot_ = std::move(next);
   }
   counters_.snapshots_published.fetch_add(1, std::memory_order_relaxed);

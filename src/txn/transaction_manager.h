@@ -157,10 +157,18 @@ class TransactionManager {
   /// semantics WAL replay uses, so recovery reproduces commits exactly).
   Status ApplyOp(const storage::WalRecord& op);
 
-  /// Rebuilds the published snapshot: previous snapshot + fresh warmed
-  /// copies of `changed` relations (plus any created/dropped names found
-  /// by diffing). Caller holds write_mu_.
-  void PublishLocked(const std::set<std::string>& changed);
+  /// Builds the next snapshot: previous snapshot + fresh warmed copies of
+  /// `changed` relations (plus any created/dropped names found by diffing).
+  /// Warming runs here, outside state_mu_. Caller holds write_mu_.
+  std::shared_ptr<const Database> NextSnapshotLocked(
+      const std::set<std::string>& changed) const;
+
+  /// Installs a commit in one state_mu_ section: the new generation, the
+  /// last-writer marks of `written` and the snapshot `next` that holds the
+  /// commit. A Begin therefore never pins a snapshot older than the
+  /// generation it records. Caller holds write_mu_.
+  void PublishLocked(uint64_t generation, const std::set<std::string>& written,
+                     std::shared_ptr<const Database> next);
 
   /// `changed` plus every materialized view reading one of its names.
   std::set<std::string> WithDependentViews(std::set<std::string> changed)

@@ -1,6 +1,11 @@
 #include "io/commands.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "cells/cell_decomposition.h"
+#include "core/str_util.h"
 
 namespace dodb {
 namespace {
@@ -50,6 +55,34 @@ TEST(CommandsTest, InsertFormulaMayReferenceOtherRelations) {
                   .ok());
   EXPECT_TRUE(db.FindRelation("big")->Contains({Rational(1)}));
   EXPECT_FALSE(db.FindRelation("big")->Contains({Rational(7)}));
+}
+
+// The disjunction's candidates include atom lists whose DenseAtom hashes
+// collide; a closure memo keyed on those hashes collapses the four boxes
+// into the single wrong tuple x0 < x1 and x1 <= 10.
+TEST(CommandsTest, FourBoxDisjunctionEqualsOneInsertPerBox) {
+  const char* kBoxes[] = {
+      "x0 >= 0 and x0 <= 4 and x1 >= 0 and x1 <= 4 and x0 < x1",
+      "x0 >= 3 and x0 <= 7 and x1 >= 3 and x1 <= 7 and x0 < x1",
+      "x0 >= 6 and x0 <= 10 and x1 >= 6 and x1 <= 10 and x0 < x1",
+      "x0 >= 9 and x0 <= 13 and x1 >= 9 and x1 <= 13 and x0 < x1",
+  };
+  Database db;
+  ASSERT_TRUE(ExecuteCommand(&db, "create together(2)").ok());
+  ASSERT_TRUE(ExecuteCommand(&db, "create apart(2)").ok());
+  std::string disjunction;
+  for (const char* box : kBoxes) {
+    if (!disjunction.empty()) disjunction += " or ";
+    disjunction += StrCat("(", box, ")");
+    ASSERT_TRUE(ExecuteCommand(&db, StrCat("insert into apart ", box)).ok());
+  }
+  ASSERT_TRUE(
+      ExecuteCommand(&db, StrCat("insert into together ", disjunction)).ok());
+  Result<bool> equal = CellDecomposition::SemanticallyEqual(
+      *db.FindRelation("together"), *db.FindRelation("apart"));
+  ASSERT_TRUE(equal.ok()) << equal.status().ToString();
+  EXPECT_TRUE(equal.value()) << db.FindRelation("together")->ToString()
+                             << " vs " << db.FindRelation("apart")->ToString();
 }
 
 TEST(CommandsTest, DeleteWhereReferencesOtherRelations) {

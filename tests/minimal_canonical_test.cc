@@ -1,13 +1,10 @@
-// Minimal canonical forms: the differential contract between the minimal
-// emission (per variable only the tightest constant lower/upper bound, plus
-// equality and surviving inequations) and the previous milestone's full
-// closure form (one atom per informative var-const pair). The two forms are
-// logically equivalent conjunctions — so every evaluator, the relation
-// index, shard routing and the storage formats must produce semantically
-// equal answers under either mode, at every thread count — but they are
-// different canonical *strings*, so cross-mode comparisons here are
-// semantic (mutual entailment, cell decomposition, witness membership),
-// never structural.
+// Minimal canonical forms: per variable only the tightest constant
+// lower/upper bound survives, plus equality and inequations strictly
+// between the bounds. The emitted form is checked against the raw atoms'
+// own meaning at every cell witness of randomized soups, and the evaluators
+// built on it are checked against oracles outside the engine (cell-witness
+// semantics, closed-form answers, the model-theoretic cell evaluator) at 1
+// and 8 threads, with the two thread counts structurally identical.
 
 #include <cstdint>
 #include <random>
@@ -18,10 +15,8 @@
 
 #include "algebra/relational_ops.h"
 #include "bench/workloads.h"
-#include "cells/cell_decomposition.h"
 #include "complex/ccalc_evaluator.h"
 #include "complex/ccalc_parser.h"
-#include "constraints/closure_cache.h"
 #include "constraints/eval_counters.h"
 #include "core/thread_pool.h"
 #include "datalog/datalog_evaluator.h"
@@ -31,6 +26,7 @@
 #include "fo/linear_evaluator.h"
 #include "fo/parser.h"
 #include "io/database.h"
+#include "oracle.h"
 
 namespace dodb {
 namespace {
@@ -39,30 +35,11 @@ DenseAtom VarConst(int var, RelOp op, int64_t value) {
   return DenseAtom(Term::Var(var), op, Term::Const(Rational(value)));
 }
 
-GeneralizedTuple CanonicalUnder(const GeneralizedTuple& tuple, bool minimal) {
-  MinimalCanonicalScope mode(minimal);
-  return tuple.Canonical();
-}
-
 // Logical equivalence of two satisfiable conjunctions: each entails the
-// other (EntailsTuple is exact on closure-canonical inputs).
+// other (EntailsTuple closes its receiver, so raw atom lists qualify).
 void ExpectEquivalent(const GeneralizedTuple& a, const GeneralizedTuple& b) {
   EXPECT_TRUE(a.EntailsTuple(b)) << a.ToString() << " vs " << b.ToString();
   EXPECT_TRUE(b.EntailsTuple(a)) << b.ToString() << " vs " << a.ToString();
-}
-
-void ExpectSameBounds(const ColumnBound& a, const ColumnBound& b,
-                      const std::string& context) {
-  EXPECT_EQ(a.has_lower, b.has_lower) << context;
-  EXPECT_EQ(a.has_upper, b.has_upper) << context;
-  if (a.has_lower && b.has_lower) {
-    EXPECT_EQ(a.lower, b.lower) << context;
-    EXPECT_EQ(a.lower_open, b.lower_open) << context;
-  }
-  if (a.has_upper && b.has_upper) {
-    EXPECT_EQ(a.upper, b.upper) << context;
-    EXPECT_EQ(a.upper_open, b.upper_open) << context;
-  }
 }
 
 TEST(MinimalCanonicalFormTest, KeepsOnlyTightestBoundPerSide) {
@@ -73,39 +50,32 @@ TEST(MinimalCanonicalFormTest, KeepsOnlyTightestBoundPerSide) {
   tuple.AddAtom(VarConst(0, RelOp::kGe, 1));
   tuple.AddAtom(VarConst(0, RelOp::kLt, 5));
   tuple.AddAtom(VarConst(0, RelOp::kLe, 7));
-  GeneralizedTuple minimal = CanonicalUnder(tuple, true);
-  GeneralizedTuple full = CanonicalUnder(tuple, false);
+  GeneralizedTuple minimal = tuple.Canonical();
   EXPECT_EQ(minimal.atoms().size(), 2u) << minimal.ToString();
-  EXPECT_EQ(full.atoms().size(), 4u) << full.ToString();
   EXPECT_EQ(minimal.ToString(), "x0 >= 1 and x0 < 5");
-  ExpectEquivalent(minimal, full);
+  ExpectEquivalent(minimal, tuple);
 }
 
 TEST(MinimalCanonicalFormTest, InequationAbsorbedAtBoundSurvivesBetween) {
   // At a closed bound the inequation strengthens the bound instead of
-  // surviving: x >= 3 and x != 3 closes to x > 3 under both modes.
+  // surviving: x >= 3 and x != 3 closes to x > 3.
   GeneralizedTuple at_bound(1);
   at_bound.AddAtom(VarConst(0, RelOp::kGe, 3));
   at_bound.AddAtom(VarConst(0, RelOp::kNeq, 3));
-  EXPECT_EQ(CanonicalUnder(at_bound, true).ToString(), "x0 > 3");
-  EXPECT_EQ(CanonicalUnder(at_bound, false).ToString(), "x0 > 3");
+  EXPECT_EQ(at_bound.Canonical().ToString(), "x0 > 3");
 
   // Strictly between the bounds the inequation is not implied and stays.
   GeneralizedTuple between(1);
   between.AddAtom(VarConst(0, RelOp::kGe, 3));
   between.AddAtom(VarConst(0, RelOp::kNeq, 5));
   between.AddAtom(VarConst(0, RelOp::kLe, 9));
-  GeneralizedTuple minimal = CanonicalUnder(between, true);
-  EXPECT_EQ(minimal.ToString(), "x0 >= 3 and x0 != 5 and x0 <= 9");
+  EXPECT_EQ(between.Canonical().ToString(), "x0 >= 3 and x0 != 5 and x0 <= 9");
 
-  // Outside the bounds the inequation is implied and dropped (the full form
-  // instead records the implied strict comparison).
+  // Outside the bounds the inequation is implied and dropped.
   GeneralizedTuple outside(1);
   outside.AddAtom(VarConst(0, RelOp::kLt, 2));
   outside.AddAtom(VarConst(0, RelOp::kNeq, 5));
-  EXPECT_EQ(CanonicalUnder(outside, true).ToString(), "x0 < 2");
-  EXPECT_EQ(CanonicalUnder(outside, false).ToString(),
-            "x0 < 2 and x0 < 5");
+  EXPECT_EQ(outside.Canonical().ToString(), "x0 < 2");
 }
 
 TEST(MinimalCanonicalFormTest, EqualityStandsAloneAndVarVarAtomsAreKept) {
@@ -113,23 +83,61 @@ TEST(MinimalCanonicalFormTest, EqualityStandsAloneAndVarVarAtomsAreKept) {
   tuple.AddAtom(VarConst(0, RelOp::kEq, 3));
   tuple.AddAtom(VarConst(0, RelOp::kLe, 9));
   tuple.AddAtom(DenseAtom(Term::Var(0), RelOp::kLt, Term::Var(1)));
-  GeneralizedTuple minimal = CanonicalUnder(tuple, true);
+  GeneralizedTuple minimal = tuple.Canonical();
   // x0 = 3 absorbs every other var-const relation of x0; the var-var atom
   // and x1's derived lower bound survive.
   EXPECT_EQ(minimal.ToString(), "x0 < x1 and x0 = 3 and x1 > 3");
-  ExpectEquivalent(minimal, CanonicalUnder(tuple, false));
+  ExpectEquivalent(minimal, tuple);
 }
 
-// The randomized heart of the contract: on arbitrary satisfiable soups the
-// two forms are logically equivalent, extract identical per-column bounds
-// (so signatures, index probes and shard routing are mode-invariant), and
-// the minimal form is never larger.
-TEST(MinimalCanonicalDifferentialTest, RandomSoupsEquivalentAndNeverLarger) {
+// Per variable, the canonical form keeps at most one lower and one upper
+// constant bound, and an equality to a constant stands alone.
+void ExpectAtMostOneBoundPerSide(const GeneralizedTuple& canonical,
+                                 const std::string& context) {
+  std::vector<int> lower(canonical.arity(), 0);
+  std::vector<int> upper(canonical.arity(), 0);
+  std::vector<int> equal(canonical.arity(), 0);
+  for (const DenseAtom& atom : canonical.atoms()) {
+    DenseAtom oriented = atom.Oriented();  // variables sort before constants
+    if (!oriented.lhs().is_var() || !oriented.rhs().is_const()) continue;
+    const int var = oriented.lhs().var();
+    switch (oriented.op()) {
+      case RelOp::kGt:
+      case RelOp::kGe:
+        ++lower[var];
+        break;
+      case RelOp::kLt:
+      case RelOp::kLe:
+        ++upper[var];
+        break;
+      case RelOp::kEq:
+        ++equal[var];
+        break;
+      case RelOp::kNeq:
+        break;
+    }
+  }
+  for (int v = 0; v < canonical.arity(); ++v) {
+    EXPECT_LE(lower[v], 1) << context << " x" << v;
+    EXPECT_LE(upper[v], 1) << context << " x" << v;
+    EXPECT_LE(equal[v], 1) << context << " x" << v;
+    if (equal[v] != 0) {
+      EXPECT_EQ(lower[v] + upper[v], 0) << context << " x" << v;
+    }
+  }
+}
+
+// The randomized heart of the canonical-form contract, against an oracle
+// that needs no closure: the raw atoms evaluated directly. Every soup's
+// point set is a union of cells over its own constants, so one witness per
+// cell decides (a) that the canonical form denotes the same set, (b) that
+// the satisfiability verdict is right, and the canonical atoms themselves
+// show (c) the minimal shape.
+TEST(CanonicalFormOracleTest, RandomSoupsMatchRawAtomsAtEveryCellWitness) {
   std::mt19937_64 rng(7251);
   const RelOp kOps[] = {RelOp::kLt, RelOp::kLe, RelOp::kEq,
                         RelOp::kNeq, RelOp::kGe, RelOp::kGt};
   int satisfiable = 0;
-  int strictly_smaller = 0;
   for (int round = 0; round < 400; ++round) {
     const int arity = 1 + static_cast<int>(rng() % 4);
     const int atoms = 1 + static_cast<int>(rng() % 10);
@@ -141,238 +149,179 @@ TEST(MinimalCanonicalDifferentialTest, RandomSoupsEquivalentAndNeverLarger) {
                      : Term::Var(static_cast<int>(rng() % arity));
       tuple.AddAtom(DenseAtom(lhs, kOps[rng() % 6], rhs));
     }
-    std::optional<GeneralizedTuple> minimal, full;
-    {
-      MinimalCanonicalScope mode(true);
-      minimal = tuple.CanonicalIfSatisfiable();
-    }
-    {
-      MinimalCanonicalScope mode(false);
-      full = tuple.CanonicalIfSatisfiable();
-    }
-    ASSERT_EQ(minimal.has_value(), full.has_value()) << tuple.ToString();
-    if (!minimal.has_value()) continue;
+    const std::string context = tuple.ToString();
+    std::optional<GeneralizedTuple> canonical = tuple.CanonicalIfSatisfiable();
+    bool witnessed = false;
+    oracle::ForEachCellWitness(
+        arity, tuple.Constants(), [&](const oracle::Point& w) {
+          const bool raw = tuple.Contains(w);
+          witnessed = witnessed || raw;
+          if (canonical.has_value() && canonical->Contains(w) != raw) {
+            ADD_FAILURE() << context << ": canonical " << canonical->ToString()
+                          << " disagrees at " << oracle::PointString(w);
+            return false;
+          }
+          return true;
+        });
+    EXPECT_EQ(canonical.has_value(), witnessed) << context;
+    if (!canonical.has_value()) continue;
     ++satisfiable;
-    ExpectEquivalent(*minimal, *full);
-    EXPECT_LE(minimal->atoms().size(), full->atoms().size())
-        << tuple.ToString();
-    if (minimal->atoms().size() < full->atoms().size()) ++strictly_smaller;
-    // Signature invariance: the tightest bounds per column are retained
-    // verbatim by the minimal form.
-    const TupleSignature& sig_min = minimal->CachedSignature();
-    const TupleSignature& sig_full = full->CachedSignature();
-    ASSERT_EQ(sig_min.columns.size(), sig_full.columns.size());
-    for (size_t c = 0; c < sig_min.columns.size(); ++c) {
-      ExpectSameBounds(sig_min.columns[c], sig_full.columns[c],
-                       tuple.ToString() + " column " + std::to_string(c));
-    }
-    // Witness cross-membership, as a semantic spot check independent of
-    // the entailment machinery.
-    std::optional<std::vector<Rational>> witness = minimal->SampleWitness();
-    ASSERT_TRUE(witness.has_value());
-    EXPECT_TRUE(full->Contains(*witness));
+    ExpectAtMostOneBoundPerSide(*canonical, context);
   }
-  // The soup must exercise both verdicts, and the minimal form must
-  // actually bite on a healthy fraction of satisfiable rounds.
+  // The soup must exercise both verdicts.
   EXPECT_GT(satisfiable, 40);
   EXPECT_LT(satisfiable, 400);
-  EXPECT_GT(strictly_smaller, 20);
 }
 
 std::string StructuralFingerprint(const GeneralizedRelation& rel) {
   return rel.ToString() + "#" + std::to_string(rel.tuple_count());
 }
 
-void ExpectSemanticallyEqual(const GeneralizedRelation& a,
-                             const GeneralizedRelation& b,
-                             const std::string& context) {
-  Result<bool> equal = CellDecomposition::SemanticallyEqual(a, b);
-  ASSERT_TRUE(equal.ok()) << context << ": " << equal.status().ToString();
-  EXPECT_TRUE(equal.value()) << context;
-}
-
-// Algebra over the index and shards: minimal-mode results are structurally
-// identical across thread counts (determinism within a mode) and
-// semantically equal to the full-mode results, with the sharded kernels
-// engaged (relation sizes past the shard thresholds).
-TEST(MinimalCanonicalDifferentialTest, AlgebraMatchesFullModeAcrossThreads) {
+// Algebra over the index and shards (relation sizes past the shard
+// thresholds): structurally identical at 1 and 8 threads, and equal to the
+// operators' set-theoretic definitions at every cell witness.
+TEST(MinimalCanonicalDifferentialTest, AlgebraMatchesOracleAcrossThreads) {
   GeneralizedRelation a = bench::RandomIntervals(64, 0, 5);
   GeneralizedRelation b = bench::RandomIntervals(64, 0, 6);
-  std::vector<GeneralizedRelation> full_results;
-  {
-    EvalThreadsScope threads(1);
-    MinimalCanonicalScope mode(false);
-    full_results.push_back(algebra::Intersect(a, b));
-    full_results.push_back(algebra::Union(a, b));
-    full_results.push_back(algebra::Difference(a, b));
-    full_results.push_back(algebra::EquiJoin(a, b, {{0, 0}}));
-  }
   std::string reference;
   for (int threads : {1, 8}) {
     EvalThreadsScope scope(threads);
-    MinimalCanonicalScope mode(true);
-    std::vector<GeneralizedRelation> minimal_results;
-    minimal_results.push_back(algebra::Intersect(a, b));
-    minimal_results.push_back(algebra::Union(a, b));
-    minimal_results.push_back(algebra::Difference(a, b));
-    minimal_results.push_back(algebra::EquiJoin(a, b, {{0, 0}}));
+    std::vector<GeneralizedRelation> results;
+    results.push_back(algebra::Intersect(a, b));
+    results.push_back(algebra::Union(a, b));
+    results.push_back(algebra::Difference(a, b));
+    results.push_back(algebra::EquiJoin(a, b, {{0, 0}}));
     std::string fingerprint;
-    for (const GeneralizedRelation& rel : minimal_results) {
+    for (const GeneralizedRelation& rel : results) {
       fingerprint += StructuralFingerprint(rel) + "\n";
     }
-    if (reference.empty()) {
-      reference = fingerprint;
-      for (size_t i = 0; i < minimal_results.size(); ++i) {
-        // Subsumption decisions are semantic, so the two modes keep
-        // corresponding tuple sets: same counts, same point sets.
-        EXPECT_EQ(minimal_results[i].tuple_count(),
-                  full_results[i].tuple_count())
-            << "op " << i;
-        ExpectSemanticallyEqual(minimal_results[i], full_results[i],
-                                "op " + std::to_string(i));
-      }
-    } else {
+    if (!reference.empty()) {
       EXPECT_EQ(fingerprint, reference) << "threads " << threads;
+      continue;
     }
+    reference = fingerprint;
+    oracle::ExpectMatchesOracle(results[0], {&a, &b},
+                                oracle::Intersection(a, b), "intersect");
+    oracle::ExpectMatchesOracle(results[1], {&a, &b}, oracle::UnionOf(a, b),
+                                "union");
+    oracle::ExpectMatchesOracle(results[2], {&a, &b},
+                                oracle::DifferenceOf(a, b), "difference");
+    oracle::ExpectMatchesOracle(results[3], {&a, &b},
+                                oracle::EquiJoinOf(a, b, {{0, 0}}), "join");
   }
 }
 
-TEST(MinimalCanonicalDifferentialTest, FoEvaluatorMatchesAcrossModes) {
-  // Kept small: the negated subquery's answer mentions every scale constant,
-  // so the semantic referee's cell decomposition grows quickly with n.
+TEST(MinimalCanonicalDifferentialTest, FoEvaluatorMatchesClosedFormAnswer) {
+  // Two-step pairs of the path 1 -> ... -> 10 that are not edges: exactly
+  // (i, i + 2).
   Database db;
   db.SetRelation("e", bench::PathGraph(10));
   Query query = FoParser::ParseQuery(
                     "{ (x, y) | exists z (e(x, z) and e(z, y)) and "
                     "not e(x, y) }")
                     .value();
-  GeneralizedRelation full(2);
-  {
-    EvalOptions options;
-    options.num_threads = 1;
-    options.use_minimal_canonical = false;
-    FoEvaluator evaluator(&db, options);
-    full = evaluator.Evaluate(query).value();
-  }
+  std::vector<std::vector<Rational>> two_steps;
+  for (int64_t i = 1; i + 2 <= 10; ++i) two_steps.push_back({i, i + 2});
+  GeneralizedRelation expected = GeneralizedRelation::FromPoints(2, two_steps);
   std::string reference;
   for (int threads : {1, 8}) {
     EvalOptions options;
     options.num_threads = threads;
-    options.use_minimal_canonical = true;
     FoEvaluator evaluator(&db, options);
-    GeneralizedRelation minimal = evaluator.Evaluate(query).value();
-    std::string fingerprint = StructuralFingerprint(minimal);
+    GeneralizedRelation answer = evaluator.Evaluate(query).value();
+    std::string fingerprint = StructuralFingerprint(answer);
     if (reference.empty()) {
       reference = fingerprint;
-      EXPECT_EQ(minimal.tuple_count(), full.tuple_count());
-      ExpectSemanticallyEqual(minimal, full, "fo query");
+      oracle::ExpectSemanticallyEqual(answer, expected, "fo query");
     } else {
       EXPECT_EQ(fingerprint, reference) << "threads " << threads;
     }
   }
 }
 
-TEST(MinimalCanonicalDifferentialTest, CellEvaluatorRefereesBothModes) {
-  // The model-theoretic evaluator is an independent implementation; its
-  // answer must agree semantically with the algebraic answer under either
-  // canonical-form mode (its own internal canonicalizations run under the
-  // ambient scope, so both scopes are exercised end to end).
+TEST(MinimalCanonicalDifferentialTest, CellEvaluatorRefereesFoEvaluator) {
+  // The model-theoretic evaluator is an independent implementation of the
+  // same semantics; the algebraic answer must agree with it semantically.
   Database db;
   db.SetRelation("e", bench::PathGraph(8));
   Query query =
       FoParser::ParseQuery("{ (x) | exists y (e(x, y) and x < y) }").value();
-  GeneralizedRelation cell_minimal(1), cell_full(1);
-  {
-    MinimalCanonicalScope mode(true);
-    CellFoEvaluator evaluator(&db);
-    cell_minimal = evaluator.Evaluate(query).value();
-  }
-  {
-    MinimalCanonicalScope mode(false);
-    CellFoEvaluator evaluator(&db);
-    cell_full = evaluator.Evaluate(query).value();
-  }
-  ExpectSemanticallyEqual(cell_minimal, cell_full, "cell evaluator modes");
-  for (bool minimal : {false, true}) {
+  CellFoEvaluator cell_evaluator(&db);
+  GeneralizedRelation referee = cell_evaluator.Evaluate(query).value();
+  for (int threads : {1, 8}) {
     EvalOptions options;
-    options.use_minimal_canonical = minimal;
+    options.num_threads = threads;
     FoEvaluator evaluator(&db, options);
     GeneralizedRelation algebraic = evaluator.Evaluate(query).value();
-    ExpectSemanticallyEqual(algebraic, cell_minimal,
-                            minimal ? "fo minimal vs cell" : "fo full vs cell");
+    oracle::ExpectSemanticallyEqual(algebraic, referee,
+                                    "threads " + std::to_string(threads));
   }
 }
 
-TEST(MinimalCanonicalDifferentialTest, DatalogFixpointMatchesAcrossModes) {
+TEST(MinimalCanonicalDifferentialTest, DatalogFixpointMatchesClosedForm) {
+  // Transitive closure of two disjoint 16-vertex paths: i -> j for i < j on
+  // the same path.
+  const int n = 16;
   Database db;
-  db.SetRelation("edge", bench::TwoPathGraph(16));
+  db.SetRelation("edge", bench::TwoPathGraph(n));
   DatalogProgram program = DatalogParser::ParseProgram(R"(
     tc(x, y) :- edge(x, y).
     tc(x, y) :- tc(x, z), edge(z, y).
   )").value();
-  GeneralizedRelation full(2);
-  uint64_t full_iterations = 0;
-  {
-    DatalogOptions options;
-    options.eval_options.num_threads = 1;
-    options.eval_options.use_minimal_canonical = false;
-    DatalogEvaluator evaluator(program, &db, options);
-    Database idb = evaluator.Evaluate().value();
-    full = *idb.FindRelation("tc");
-    full_iterations = evaluator.iterations();
+  std::vector<std::vector<Rational>> reach;
+  for (int64_t base : {0, 1000}) {
+    for (int64_t i = 1; i <= n; ++i) {
+      for (int64_t j = i + 1; j <= n; ++j) reach.push_back({base + i, base + j});
+    }
   }
+  GeneralizedRelation expected = GeneralizedRelation::FromPoints(2, reach);
   std::string reference;
+  uint64_t reference_iterations = 0;
   for (int threads : {1, 8}) {
     DatalogOptions options;
     options.eval_options.num_threads = threads;
-    options.eval_options.use_minimal_canonical = true;
     DatalogEvaluator evaluator(program, &db, options);
     Database idb = evaluator.Evaluate().value();
-    const GeneralizedRelation& minimal = *idb.FindRelation("tc");
-    std::string fingerprint = StructuralFingerprint(minimal);
-    // Semi-naive derivation and subsumption are semantic, so the fixpoint
-    // is reached in the same number of rounds with corresponding tuples.
-    EXPECT_EQ(evaluator.iterations(), full_iterations)
-        << "threads " << threads;
+    const GeneralizedRelation& tc = *idb.FindRelation("tc");
+    std::string fingerprint = StructuralFingerprint(tc);
     if (reference.empty()) {
       reference = fingerprint;
-      EXPECT_EQ(minimal.tuple_count(), full.tuple_count());
-      ExpectSemanticallyEqual(minimal, full, "datalog tc");
+      reference_iterations = evaluator.iterations();
+      EXPECT_EQ(tc.tuple_count(), expected.tuple_count());
+      oracle::ExpectSemanticallyEqual(tc, expected, "datalog tc");
     } else {
       EXPECT_EQ(fingerprint, reference) << "threads " << threads;
+      EXPECT_EQ(evaluator.iterations(), reference_iterations)
+          << "threads " << threads;
     }
   }
 }
 
 TEST(MinimalCanonicalDifferentialTest, LinearEvaluatorAgreesOnWitnessGrid) {
-  // LinearRelation has no cell decomposition; compare the two modes by
-  // membership over a grid that separates every region the scale induces
-  // (integers and midpoints across the data range).
+  // LinearRelation has no cell decomposition; check membership over a grid
+  // that separates every region the scale induces (integers and midpoints
+  // across the data range) against the query's definition.
   Database db;
-  db.SetRelation("r", bench::RandomIntervals(16, 0, 11));
+  GeneralizedRelation r = bench::RandomIntervals(16, 0, 11);
+  db.SetRelation("r", r);
   Query query =
       FoParser::ParseQuery("{ (x) | r(x) and x + x < 40 }").value();
-  LinearRelation minimal(1), full(1);
-  {
+  for (int threads : {1, 8}) {
     EvalOptions options;
-    options.use_minimal_canonical = true;
+    options.num_threads = threads;
     LinearFoEvaluator evaluator(&db, options);
-    minimal = evaluator.Evaluate(query).value();
-  }
-  {
-    EvalOptions options;
-    options.use_minimal_canonical = false;
-    LinearFoEvaluator evaluator(&db, options);
-    full = evaluator.Evaluate(query).value();
-  }
-  for (int64_t twice = -10; twice <= 120; ++twice) {
-    std::vector<Rational> point = {Rational(twice, 2)};
-    EXPECT_EQ(minimal.Contains(point), full.Contains(point))
-        << "x = " << point[0].ToString();
+    LinearRelation answer = evaluator.Evaluate(query).value();
+    for (int64_t twice = -10; twice <= 120; ++twice) {
+      std::vector<Rational> point = {Rational(twice, 2)};
+      EXPECT_EQ(answer.Contains(point), r.Contains(point) && twice < 40)
+          << "threads " << threads << " x = " << point[0].ToString();
+    }
   }
 }
 
-TEST(MinimalCanonicalDifferentialTest, CCalcMatchesAcrossModes) {
+TEST(MinimalCanonicalDifferentialTest, CCalcMatchesClosedFormAnswer) {
+  // Every member of a set drawn from R lies in R, and every point of R
+  // lies in some such set: the answer is R itself.
   Database db;
   GeneralizedRelation r(1);
   for (int64_t v : {0, 2, 5}) {
@@ -381,68 +330,27 @@ TEST(MinimalCanonicalDifferentialTest, CCalcMatchesAcrossModes) {
     tuple.AddAtom(VarConst(0, RelOp::kLe, v + 1));
     r.AddTuple(std::move(tuple));
   }
-  db.SetRelation("R", std::move(r));
+  db.SetRelation("R", r);
   CCalcQuery query =
       CCalcParser::ParseQuery(
           "{ (x) | exists set X : 1 (x in X and forall y (y in X -> R(y))) }")
           .value();
-  GeneralizedRelation minimal(1), full(1);
-  {
+  for (int threads : {1, 8}) {
     CCalcOptions options;
-    options.eval_options.use_minimal_canonical = true;
+    options.eval_options.num_threads = threads;
     CCalcEvaluator evaluator(&db, options);
-    minimal = evaluator.Evaluate(query).value();
+    GeneralizedRelation answer = evaluator.Evaluate(query).value();
+    oracle::ExpectSemanticallyEqual(answer, r,
+                                    "threads " + std::to_string(threads));
   }
-  {
-    CCalcOptions options;
-    options.eval_options.use_minimal_canonical = false;
-    CCalcEvaluator evaluator(&db, options);
-    full = evaluator.Evaluate(query).value();
-  }
-  ExpectSemanticallyEqual(minimal, full, "ccalc query");
-}
-
-TEST(MinimalCanonicalCacheTest, SharedClosureMemoKeysOnTheModeBit) {
-  // One memo serving scopes of both modes must return the mode-correct
-  // canonical string for each — the fingerprint mixes the mode bit, so the
-  // two entries never collide.
-  ClosureCache memo;
-  GeneralizedTuple tuple(1);
-  tuple.AddAtom(VarConst(0, RelOp::kGt, 0));
-  tuple.AddAtom(VarConst(0, RelOp::kGe, 1));
-  tuple.AddAtom(VarConst(0, RelOp::kLt, 5));
-  size_t minimal_atoms = 0, full_atoms = 0;
-  {
-    MinimalCanonicalScope mode(true);
-    std::optional<GeneralizedTuple> got = memo.CanonicalIfSatisfiable(tuple);
-    ASSERT_TRUE(got.has_value());
-    minimal_atoms = got->atoms().size();
-    EXPECT_EQ(got->ToString(), tuple.Canonical().ToString());
-  }
-  {
-    MinimalCanonicalScope mode(false);
-    std::optional<GeneralizedTuple> got = memo.CanonicalIfSatisfiable(tuple);
-    ASSERT_TRUE(got.has_value());
-    full_atoms = got->atoms().size();
-    EXPECT_EQ(got->ToString(), tuple.Canonical().ToString());
-  }
-  EXPECT_LT(minimal_atoms, full_atoms);
-  EXPECT_EQ(memo.size(), 2u);
-  // Serving again from the memo returns the mode-matching entries.
-  {
-    MinimalCanonicalScope mode(true);
-    EXPECT_EQ(memo.CanonicalIfSatisfiable(tuple)->atoms().size(),
-              minimal_atoms);
-  }
-  EXPECT_EQ(memo.size(), 2u);
 }
 
 TEST(AtomArenaTest, StoredTuplesShareTheRelationArenaAndOutliveIt) {
-  // Wide tuples (more atoms than the inline capacity) spill to the heap on
-  // construction and are re-pointed at the relation's arena when stored.
+  // Wide tuples (more atoms than the inline capacity: 16 bounds over 8
+  // columns) spill to the heap on construction and are re-pointed at the
+  // relation's arena when stored.
   EvalCounterSnapshot before = EvalCounters::Snapshot();
   GeneralizedRelation rel(8);
-  MinimalCanonicalScope mode(false);  // full form: atom lists stay wide
   for (int t = 0; t < 6; ++t) {
     GeneralizedTuple tuple(8);
     for (int v = 0; v < 8; ++v) {
@@ -473,7 +381,6 @@ TEST(AtomArenaTest, StoredTuplesShareTheRelationArenaAndOutliveIt) {
 }
 
 TEST(AtomArenaTest, CrossRelationInsertCountsSpanReuse) {
-  MinimalCanonicalScope mode(false);
   GeneralizedRelation source(4);
   for (int t = 0; t < 4; ++t) {
     GeneralizedTuple tuple(4);

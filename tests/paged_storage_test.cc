@@ -1,9 +1,9 @@
 // Out-of-core storage: the buffer pool's pin/evict/writeback mechanics, the
 // paged record store's page-chain + CRC contract, and the differential
-// guarantee of EvalOptions::use_paged_storage — every algebra, Datalog and
-// view-maintenance result over spilled relations is bit-identical to the
-// resident run, at every thread count and at any cache size, because the
-// paged branches replay the exact resident enumeration orders.
+// guarantee of spilled relations — every algebra, Datalog and
+// view-maintenance result over them is bit-identical to the resident run,
+// at every thread count and at any cache size, because the paged branches
+// replay the exact resident enumeration orders.
 
 #include <cstdint>
 #include <filesystem>
@@ -435,7 +435,6 @@ TEST(PagedDifferentialTest, DatalogFixpointMatchesResident) {
     ASSERT_TRUE(db.FindRelation("edge")->is_paged());
     DatalogOptions options;
     options.eval_options.num_threads = threads;
-    options.eval_options.use_paged_storage = true;
     DatalogEvaluator evaluator(program, &db, options);
     Database idb = evaluator.Evaluate().value();
     EXPECT_EQ(baseline, Fingerprint(*idb.FindRelation("tc")))
@@ -465,7 +464,6 @@ TEST(PagedDifferentialTest, FoEvaluationMatchesResident) {
     db.SetRelation("edge", pager->Spill(edge).value());
     EvalOptions options;
     options.num_threads = threads;
-    options.use_paged_storage = true;
     FoEvaluator evaluator(&db, options);
     EXPECT_EQ(baseline, Fingerprint(evaluator.Evaluate(query).value()))
         << "threads " << threads;

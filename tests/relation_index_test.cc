@@ -1,8 +1,10 @@
 // Constraint-signature indexing: bound extraction, index maintenance under
-// insert/erase, and the differential contract — the indexed engine is
-// bit-identical to the legacy all-pairs engine on every operation, at every
-// thread count, because the index only skips provably unsatisfiable
-// candidate pairs and provably non-subsuming comparisons.
+// insert/erase, and the differential contract — every operation the index
+// prunes is structurally identical at 1 and 8 threads and equal to an
+// oracle outside the engine (the operators' set-theoretic definitions at
+// every cell witness, or a closed-form answer), because the index only
+// skips provably unsatisfiable candidate pairs and provably non-subsuming
+// comparisons.
 
 #include "constraints/relation_index.h"
 
@@ -21,6 +23,7 @@
 #include "datalog/datalog_parser.h"
 #include "fo/evaluator.h"
 #include "io/database.h"
+#include "oracle.h"
 
 namespace dodb {
 namespace {
@@ -133,7 +136,6 @@ std::string Fingerprint(const GeneralizedRelation& rel) {
 }
 
 TEST(RelationIndexTest, IncrementalMaintenanceMatchesRebuild) {
-  IndexModeScope indexed(true);
   std::mt19937_64 rng(99);
   GeneralizedRelation rel(2);
   // Force the lazy build early so every subsequent AddTuple exercises the
@@ -156,29 +158,7 @@ TEST(RelationIndexTest, IncrementalMaintenanceMatchesRebuild) {
   EXPECT_GT(rel.tuple_count(), 0u);
 }
 
-TEST(RelationIndexTest, LegacyMutationDropsIndexThenRebuildsFresh) {
-  GeneralizedRelation rel(1);
-  {
-    IndexModeScope indexed(true);
-    GeneralizedTuple a(1);
-    a.AddAtom(VarConst(0, RelOp::kGe, 0));
-    rel.AddTuple(std::move(a));
-    ASSERT_TRUE(rel.Index().MatchesTuples(rel.tuples()));
-  }
-  {
-    IndexModeScope legacy(false);
-    GeneralizedTuple b(1);
-    b.AddAtom(VarConst(0, RelOp::kLt, 0));
-    rel.AddTuple(std::move(b));
-  }
-  // The legacy-mode mutation must not have left a stale snapshot behind.
-  IndexModeScope indexed(true);
-  EXPECT_TRUE(rel.Index().MatchesTuples(rel.tuples()));
-  EXPECT_EQ(rel.Index().size(), rel.tuple_count());
-}
-
 TEST(RelationIndexTest, CopiesShareUntilMutation) {
-  IndexModeScope indexed(true);
   GeneralizedRelation rel(1);
   GeneralizedTuple a(1);
   a.AddAtom(VarConst(0, RelOp::kGe, 2));
@@ -195,102 +175,112 @@ TEST(RelationIndexTest, CopiesShareUntilMutation) {
   EXPECT_EQ(rel.tuple_count() + 1, copy.tuple_count());
 }
 
-// The differential contract, over random dense-order relations and the
-// bench workload generators: every algebra result is bit-identical between
-// the indexed and legacy modes, at 1 and 8 threads.
-TEST(IndexDifferentialTest, AlgebraMatchesLegacyAcrossThreads) {
+// The differential contract over random dense-order relations: every
+// algebra result is structurally identical at 1 and 8 threads and equal to
+// its definition at every cell witness.
+TEST(IndexDifferentialTest, AlgebraMatchesOracleAcrossThreads) {
   for (uint64_t seed : {11u, 29u, 47u}) {
     GeneralizedRelation a = RandomRelation(2, 10, 4, seed);
     GeneralizedRelation b = RandomRelation(2, 9, 4, seed + 100);
-    std::vector<std::string> baseline;
-    {
-      EvalThreadsScope threads(1);
-      IndexModeScope legacy(false);
-      baseline.push_back(Fingerprint(algebra::Intersect(a, b)));
-      baseline.push_back(Fingerprint(algebra::EquiJoin(a, b, {{0, 1}})));
-      baseline.push_back(Fingerprint(algebra::Difference(a, b)));
-      baseline.push_back(Fingerprint(algebra::Union(a, b)));
-      baseline.push_back(Fingerprint(algebra::ComplementViaDnf(b)));
-    }
+    std::vector<std::string> reference;
     for (int threads : {1, 8}) {
-      for (bool use_index : {false, true}) {
-        EvalThreadsScope scope(threads);
-        IndexModeScope mode(use_index);
-        std::vector<std::string> got;
-        got.push_back(Fingerprint(algebra::Intersect(a, b)));
-        got.push_back(Fingerprint(algebra::EquiJoin(a, b, {{0, 1}})));
-        got.push_back(Fingerprint(algebra::Difference(a, b)));
-        got.push_back(Fingerprint(algebra::Union(a, b)));
-        got.push_back(Fingerprint(algebra::ComplementViaDnf(b)));
-        EXPECT_EQ(baseline, got)
-            << "seed " << seed << " threads " << threads << " indexed "
-            << use_index;
+      EvalThreadsScope scope(threads);
+      std::vector<GeneralizedRelation> results;
+      results.push_back(algebra::Intersect(a, b));
+      results.push_back(algebra::EquiJoin(a, b, {{0, 1}}));
+      results.push_back(algebra::Difference(a, b));
+      results.push_back(algebra::Union(a, b));
+      results.push_back(algebra::ComplementViaDnf(b));
+      std::vector<std::string> got;
+      for (const GeneralizedRelation& rel : results) {
+        got.push_back(Fingerprint(rel));
       }
+      if (!reference.empty()) {
+        EXPECT_EQ(reference, got) << "seed " << seed << " threads " << threads;
+        continue;
+      }
+      reference = got;
+      const std::string context = "seed " + std::to_string(seed);
+      oracle::ExpectMatchesOracle(results[0], {&a, &b},
+                                  oracle::Intersection(a, b),
+                                  context + " intersect");
+      oracle::ExpectMatchesOracle(results[1], {&a, &b},
+                                  oracle::EquiJoinOf(a, b, {{0, 1}}),
+                                  context + " join");
+      oracle::ExpectMatchesOracle(results[2], {&a, &b},
+                                  oracle::DifferenceOf(a, b),
+                                  context + " difference");
+      oracle::ExpectMatchesOracle(results[3], {&a, &b}, oracle::UnionOf(a, b),
+                                  context + " union");
+      oracle::ExpectMatchesOracle(results[4], {&b}, oracle::ComplementOf(b),
+                                  context + " complement");
     }
   }
 }
 
-TEST(IndexDifferentialTest, WorkloadRelationsMatchLegacy) {
+TEST(IndexDifferentialTest, WorkloadRelationsMatchOracle) {
   GeneralizedRelation a = bench::RandomRectangles(24, 0, 5);
   GeneralizedRelation b = bench::RandomRectangles(24, 0, 6);
   GeneralizedRelation ia = bench::RandomIntervals(32, 0, 7);
   GeneralizedRelation ib = bench::RandomIntervals(32, 0, 8);
-  std::string rect_baseline, interval_baseline;
-  {
-    EvalThreadsScope threads(1);
-    IndexModeScope legacy(false);
-    rect_baseline = Fingerprint(algebra::Intersect(a, b));
-    interval_baseline = Fingerprint(algebra::Difference(ia, ib));
-  }
+  std::string rect_reference, interval_reference;
   for (int threads : {1, 8}) {
-    for (bool use_index : {false, true}) {
-      EvalThreadsScope scope(threads);
-      IndexModeScope mode(use_index);
-      EXPECT_EQ(rect_baseline, Fingerprint(algebra::Intersect(a, b)))
-          << "threads " << threads << " indexed " << use_index;
-      EXPECT_EQ(interval_baseline, Fingerprint(algebra::Difference(ia, ib)))
-          << "threads " << threads << " indexed " << use_index;
+    EvalThreadsScope scope(threads);
+    GeneralizedRelation met = algebra::Intersect(a, b);
+    GeneralizedRelation diff = algebra::Difference(ia, ib);
+    if (!rect_reference.empty()) {
+      EXPECT_EQ(rect_reference, Fingerprint(met)) << "threads " << threads;
+      EXPECT_EQ(interval_reference, Fingerprint(diff))
+          << "threads " << threads;
+      continue;
     }
+    rect_reference = Fingerprint(met);
+    interval_reference = Fingerprint(diff);
+    oracle::ExpectMatchesOracle(met, {&a, &b}, oracle::Intersection(a, b),
+                                "rectangles");
+    oracle::ExpectMatchesOracle(diff, {&ia, &ib},
+                                oracle::DifferenceOf(ia, ib), "intervals");
   }
 }
 
-TEST(IndexDifferentialTest, DatalogFixpointMatchesLegacy) {
+TEST(IndexDifferentialTest, DatalogFixpointMatchesClosedForm) {
+  const int n = 8;
   Database db;
-  db.SetRelation("edge", bench::TwoPathGraph(8));
+  db.SetRelation("edge", bench::TwoPathGraph(n));
   DatalogProgram program = DatalogParser::ParseProgram(R"(
     tc(x, y) :- edge(x, y).
     tc(x, y) :- tc(x, z), edge(z, y).
   )").value();
-  std::string baseline;
-  uint64_t baseline_iterations = 0;
-  {
+  std::vector<std::vector<Rational>> reach;
+  for (int64_t base : {0, 1000}) {
+    for (int64_t i = 1; i <= n; ++i) {
+      for (int64_t j = i + 1; j <= n; ++j) reach.push_back({base + i, base + j});
+    }
+  }
+  GeneralizedRelation expected = GeneralizedRelation::FromPoints(2, reach);
+  std::string reference;
+  uint64_t reference_iterations = 0;
+  for (int threads : {1, 8}) {
     DatalogOptions options;
-    options.eval_options.num_threads = 1;
-    options.eval_options.use_index = false;
+    options.eval_options.num_threads = threads;
     DatalogEvaluator evaluator(program, &db, options);
     Database idb = evaluator.Evaluate().value();
-    baseline = Fingerprint(*idb.FindRelation("tc"));
-    baseline_iterations = evaluator.iterations();
-  }
-  for (int threads : {1, 8}) {
-    for (bool use_index : {false, true}) {
-      DatalogOptions options;
-      options.eval_options.num_threads = threads;
-      options.eval_options.use_index = use_index;
-      DatalogEvaluator evaluator(program, &db, options);
-      Database idb = evaluator.Evaluate().value();
-      EXPECT_EQ(baseline, Fingerprint(*idb.FindRelation("tc")))
-          << "threads " << threads << " indexed " << use_index;
-      EXPECT_EQ(baseline_iterations, evaluator.iterations())
-          << "threads " << threads << " indexed " << use_index;
+    const GeneralizedRelation& tc = *idb.FindRelation("tc");
+    if (!reference.empty()) {
+      EXPECT_EQ(reference, Fingerprint(tc)) << "threads " << threads;
+      EXPECT_EQ(reference_iterations, evaluator.iterations())
+          << "threads " << threads;
+      continue;
     }
+    reference = Fingerprint(tc);
+    reference_iterations = evaluator.iterations();
+    oracle::ExpectSemanticallyEqual(tc, expected, "tc");
   }
 }
 
 TEST(EvalCountersTest, IndexedEvaluationReportsPrunedPairs) {
   GeneralizedRelation a = bench::PathGraph(24);
   GeneralizedRelation b = bench::PathGraph(24);
-  IndexModeScope indexed(true);
   EvalCounterSnapshot before = EvalCounters::Snapshot();
   GeneralizedRelation joined = algebra::EquiJoin(a, b, {{1, 0}});
   EvalCounterSnapshot delta = EvalCounters::Snapshot() - before;
@@ -310,9 +300,7 @@ TEST(EvalCountersTest, FoEvaluatorAttributesCounterDelta) {
   int fresh = 0;
   query.head = {"x", "y"};
   query.body = bench::DoublingReach(2, "x", "y", &fresh);
-  EvalOptions options;
-  options.use_index = true;
-  FoEvaluator evaluator(&db, options);
+  FoEvaluator evaluator(&db);
   ASSERT_TRUE(evaluator.Evaluate(query).ok());
   EXPECT_GT(evaluator.stats().counters.pairs_considered, 0u);
   EXPECT_GT(evaluator.stats().counters.canonicalized, 0u);

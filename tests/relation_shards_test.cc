@@ -1,9 +1,9 @@
 // Sharded relation storage: quantile build, incremental maintenance under
-// insert/erase, the closure memo, and the differential contract — the
-// sharded engine (shard-pair pruning + selectivity planner + closure memo)
-// is bit-identical to the flat indexed engine and to the legacy engine on
-// every operation, at every thread count, because shard covers only skip
-// provably disjoint pairs and the planner only changes enumeration order.
+// insert/erase, the closure memo, and the differential contract — every
+// operation is structurally identical at 1 and 8 threads and equal to an
+// oracle outside the engine (the operators' set-theoretic definitions at
+// every cell witness, or a closed-form answer), with relations sized so the
+// shard-pair kernels, the planner and the memo all engage.
 
 #include "constraints/relation_shards.h"
 
@@ -24,6 +24,7 @@
 #include "datalog/datalog_parser.h"
 #include "fo/evaluator.h"
 #include "io/database.h"
+#include "oracle.h"
 
 namespace dodb {
 namespace {
@@ -64,6 +65,18 @@ GeneralizedRelation RandomRelation(int arity, int tuples, int atoms,
     rel.AddTuple(std::move(tuple));
   }
   return rel;
+}
+
+// Transitive closure of bench::TwoPathGraph(n): i -> j for i < j on the same
+// path.
+GeneralizedRelation TwoPathReach(int n) {
+  std::vector<std::vector<Rational>> reach;
+  for (int64_t base : {0, 1000}) {
+    for (int64_t i = 1; i <= n; ++i) {
+      for (int64_t j = i + 1; j <= n; ++j) reach.push_back({base + i, base + j});
+    }
+  }
+  return GeneralizedRelation::FromPoints(2, reach);
 }
 
 TEST(RelationShardsTest, SmallRelationStaysEffectivelyUnsharded) {
@@ -147,8 +160,6 @@ TEST(RelationShardsTest, CopyCarriesAssignmentAndRebuildsCaches) {
 }
 
 TEST(RelationIndexShardTest, IndexExposesLazyShardsAndMaintainsThem) {
-  IndexModeScope indexed(true);
-  ShardModeScope sharded(true);
   GeneralizedRelation rel = bench::RandomIntervals(64, 0, 13);
   const RelationShards* shards = rel.Index().Shards();
   ASSERT_NE(shards, nullptr);
@@ -170,8 +181,6 @@ TEST(RelationIndexShardTest, IndexExposesLazyShardsAndMaintainsThem) {
 }
 
 TEST(JoinPlannerTest, ProfilesAndOrientationPreferSmallerEnumerationSide) {
-  IndexModeScope indexed(true);
-  ShardModeScope sharded(true);
   GeneralizedRelation small = bench::RandomIntervals(40, 0, 3);
   GeneralizedRelation large = bench::RandomIntervals(90, 0, 4);
   algebra::RelationProfile ps = algebra::ProfileRelation(small);
@@ -210,82 +219,112 @@ TEST(ClosureCacheTest, MemoizedCanonicalMatchesDirectComputation) {
   EXPECT_EQ(memo.size(), 2u);
 }
 
-// The differential contract: every algebra result is bit-identical between
-// the sharded, flat-indexed and legacy modes, at 1 and 8 threads. Relations
-// are sized past kMinTuples/kShardMinPairs so the sharded kernel actually
+// x0 >= 5 and x0 > 2 share one DenseAtom::Hash, so a memo keyed on that
+// hash serves the first list's canonical form for the second.
+TEST(ClosureCacheTest, AtomListsWithEqualAtomHashesKeepTheirOwnForms) {
+  GeneralizedTuple at_least_five(1);
+  at_least_five.AddAtom(VarConst(0, RelOp::kGe, 5));
+  GeneralizedTuple above_two(1);
+  above_two.AddAtom(VarConst(0, RelOp::kGt, 2));
+  ClosureCache memo;
+  EXPECT_EQ(memo.CanonicalIfSatisfiable(at_least_five)->ToString(),
+            "x0 >= 5");
+  EXPECT_EQ(memo.CanonicalIfSatisfiable(above_two)->ToString(), "x0 > 2");
+  EXPECT_EQ(memo.size(), 2u);
+}
+
+TEST(ClosureCacheTest, EverySmallAtomIsServedItsOwnCanonicalForm) {
+  // The 252 atoms x{0,1,2} op c with c in 0..13 fold to only 217 distinct
+  // DenseAtom::Hash values; one shared memo must keep all 252 apart.
+  const RelOp kOps[] = {RelOp::kLt, RelOp::kLe, RelOp::kEq,
+                        RelOp::kNeq, RelOp::kGe, RelOp::kGt};
+  ClosureCache memo;
+  for (int var = 0; var < 3; ++var) {
+    for (RelOp op : kOps) {
+      for (int64_t c = 0; c < 14; ++c) {
+        GeneralizedTuple tuple(3);
+        tuple.AddAtom(VarConst(var, op, c));
+        std::optional<GeneralizedTuple> served =
+            memo.CanonicalIfSatisfiable(tuple);
+        ASSERT_TRUE(served.has_value()) << tuple.ToString();
+        EXPECT_EQ(served->ToString(), tuple.Canonical().ToString());
+      }
+    }
+  }
+  EXPECT_EQ(memo.size(), 252u);
+}
+
+// Every algebra result is structurally identical at 1 and 8 threads, and
+// the results small enough for a cell sweep equal their definitions.
+// Relations are sized past kMinTuples/kShardMinPairs so the sharded kernel
 // engages (verified by the counter test below).
-TEST(ShardDifferentialTest, AlgebraMatchesUnshardedAcrossThreads) {
+TEST(ShardDifferentialTest, AlgebraMatchesOracleAcrossThreads) {
   GeneralizedRelation a = bench::RandomIntervals(64, 0, 5);
   GeneralizedRelation b = bench::RandomIntervals(64, 0, 6);
   GeneralizedRelation ra = bench::RandomRectangles(48, 0, 7);
   GeneralizedRelation rb = bench::RandomRectangles(48, 0, 8);
-  std::vector<std::string> baseline;
-  {
-    EvalThreadsScope threads(1);
-    IndexModeScope legacy(false);
-    ShardModeScope unsharded(false);
-    baseline.push_back(Fingerprint(algebra::Intersect(a, b)));
-    baseline.push_back(Fingerprint(algebra::Intersect(ra, rb)));
-    baseline.push_back(Fingerprint(algebra::EquiJoin(ra, rb, {{1, 0}})));
-    baseline.push_back(Fingerprint(algebra::Difference(a, b)));
-    baseline.push_back(Fingerprint(algebra::Union(ra, rb)));
-  }
+  std::vector<std::string> reference;
   for (int threads : {1, 8}) {
-    for (bool use_shards : {false, true}) {
-      EvalThreadsScope scope(threads);
-      IndexModeScope indexed(true);
-      ShardModeScope shard_mode(use_shards);
-      std::vector<std::string> got;
-      got.push_back(Fingerprint(algebra::Intersect(a, b)));
-      got.push_back(Fingerprint(algebra::Intersect(ra, rb)));
-      got.push_back(Fingerprint(algebra::EquiJoin(ra, rb, {{1, 0}})));
-      got.push_back(Fingerprint(algebra::Difference(a, b)));
-      got.push_back(Fingerprint(algebra::Union(ra, rb)));
-      EXPECT_EQ(baseline, got)
-          << "threads " << threads << " sharded " << use_shards;
+    EvalThreadsScope scope(threads);
+    GeneralizedRelation intervals_met = algebra::Intersect(a, b);
+    GeneralizedRelation intervals_diff = algebra::Difference(a, b);
+    GeneralizedRelation boxes_met = algebra::Intersect(ra, rb);
+    std::vector<std::string> got;
+    got.push_back(Fingerprint(intervals_met));
+    got.push_back(Fingerprint(boxes_met));
+    got.push_back(Fingerprint(algebra::EquiJoin(ra, rb, {{1, 0}})));
+    got.push_back(Fingerprint(intervals_diff));
+    got.push_back(Fingerprint(algebra::Union(ra, rb)));
+    if (!reference.empty()) {
+      EXPECT_EQ(reference, got) << "threads " << threads;
+      continue;
     }
+    reference = got;
+    oracle::ExpectMatchesOracle(intervals_met, {&a, &b},
+                                oracle::Intersection(a, b), "intersect");
+    oracle::ExpectMatchesOracle(intervals_diff, {&a, &b},
+                                oracle::DifferenceOf(a, b), "difference");
+    oracle::ExpectMatchesOracle(boxes_met, {&ra, &rb},
+                                oracle::Intersection(ra, rb), "box intersect");
   }
 }
 
-TEST(ShardDifferentialTest, RandomAtomSoupMatchesUnsharded) {
+TEST(ShardDifferentialTest, RandomAtomSoupMatchesOracle) {
   for (uint64_t seed : {5u, 17u, 61u}) {
     GeneralizedRelation a = RandomRelation(2, 60, 3, seed);
     GeneralizedRelation b = RandomRelation(2, 60, 3, seed + 1000);
-    std::vector<std::string> baseline;
-    {
-      EvalThreadsScope threads(1);
-      IndexModeScope indexed(true);
-      ShardModeScope unsharded(false);
-      baseline.push_back(Fingerprint(algebra::Intersect(a, b)));
-      baseline.push_back(Fingerprint(algebra::EquiJoin(a, b, {{0, 1}})));
-      baseline.push_back(Fingerprint(algebra::Difference(a, b)));
-    }
+    std::vector<std::string> reference;
     for (int threads : {1, 8}) {
       EvalThreadsScope scope(threads);
-      IndexModeScope indexed(true);
-      ShardModeScope sharded(true);
+      GeneralizedRelation met = algebra::Intersect(a, b);
+      GeneralizedRelation diff = algebra::Difference(a, b);
       std::vector<std::string> got;
-      got.push_back(Fingerprint(algebra::Intersect(a, b)));
+      got.push_back(Fingerprint(met));
       got.push_back(Fingerprint(algebra::EquiJoin(a, b, {{0, 1}})));
-      got.push_back(Fingerprint(algebra::Difference(a, b)));
-      EXPECT_EQ(baseline, got) << "seed " << seed << " threads " << threads;
+      got.push_back(Fingerprint(diff));
+      if (!reference.empty()) {
+        EXPECT_EQ(reference, got) << "seed " << seed << " threads " << threads;
+        continue;
+      }
+      reference = got;
+      const std::string context = "seed " + std::to_string(seed);
+      oracle::ExpectMatchesOracle(met, {&a, &b}, oracle::Intersection(a, b),
+                                  context + " intersect");
+      oracle::ExpectMatchesOracle(diff, {&a, &b}, oracle::DifferenceOf(a, b),
+                                  context + " difference");
     }
   }
 }
 
-// Incremental maintenance differential: grow both relations tuple by tuple
-// (exercising InsertAt/EraseAt through subsumption churn) and re-join after
-// each batch — sharded results must track the unsharded ones throughout.
-TEST(ShardDifferentialTest, MaintainedShardsMatchAfterInserts) {
-  IndexModeScope indexed(true);
+// Incremental maintenance: grow both relations tuple by tuple (exercising
+// InsertAt/EraseAt through subsumption churn) and re-join after each batch
+// — the maintained shards must keep every join exact throughout.
+TEST(ShardDifferentialTest, MaintainedShardsMatchOracleAfterInserts) {
   std::mt19937_64 rng(133);
   GeneralizedRelation a = bench::RandomIntervals(48, 0, 31);
   GeneralizedRelation b = bench::RandomIntervals(48, 0, 32);
-  {
-    ShardModeScope sharded(true);
-    a.Index().Shards();  // force the builds so inserts hit maintenance
-    b.Index().Shards();
-  }
+  a.Index().Shards();  // force the builds so inserts hit maintenance
+  b.Index().Shards();
   for (int batch = 0; batch < 4; ++batch) {
     for (int i = 0; i < 6; ++i) {
       GeneralizedTuple tuple(1);
@@ -293,96 +332,88 @@ TEST(ShardDifferentialTest, MaintainedShardsMatchAfterInserts) {
       int64_t width = 1 + static_cast<int64_t>(rng() % 6);
       tuple.AddAtom(VarConst(0, RelOp::kGe, lo));
       tuple.AddAtom(VarConst(0, RelOp::kLe, lo + width));
-      ShardModeScope sharded(true);
       ((i % 2 == 0) ? a : b).AddTuple(std::move(tuple));
     }
-    std::string expect, got;
-    {
-      EvalThreadsScope threads(1);
-      ShardModeScope unsharded(false);
-      expect = Fingerprint(algebra::Intersect(a, b));
-    }
+    std::string reference;
     for (int threads : {1, 8}) {
       EvalThreadsScope scope(threads);
-      ShardModeScope sharded(true);
-      got = Fingerprint(algebra::Intersect(a, b));
-      EXPECT_EQ(expect, got) << "batch " << batch << " threads " << threads;
-    }
-  }
-}
-
-TEST(ShardDifferentialTest, DatalogFixpointMatchesUnsharded) {
-  Database db;
-  db.SetRelation("edge", bench::TwoPathGraph(20));
-  DatalogProgram program = DatalogParser::ParseProgram(R"(
-    tc(x, y) :- edge(x, y).
-    tc(x, y) :- tc(x, z), edge(z, y).
-  )").value();
-  std::string baseline;
-  uint64_t baseline_iterations = 0;
-  {
-    DatalogOptions options;
-    options.eval_options.num_threads = 1;
-    options.eval_options.use_shards = false;
-    options.eval_options.use_closure_memo = false;
-    DatalogEvaluator evaluator(program, &db, options);
-    Database idb = evaluator.Evaluate().value();
-    baseline = Fingerprint(*idb.FindRelation("tc"));
-    baseline_iterations = evaluator.iterations();
-  }
-  for (int threads : {1, 8}) {
-    for (bool use_shards : {false, true}) {
-      for (bool use_memo : {false, true}) {
-        DatalogOptions options;
-        options.eval_options.num_threads = threads;
-        options.eval_options.use_shards = use_shards;
-        options.eval_options.use_closure_memo = use_memo;
-        DatalogEvaluator evaluator(program, &db, options);
-        Database idb = evaluator.Evaluate().value();
-        EXPECT_EQ(baseline, Fingerprint(*idb.FindRelation("tc")))
-            << "threads " << threads << " sharded " << use_shards << " memo "
-            << use_memo;
-        EXPECT_EQ(baseline_iterations, evaluator.iterations())
-            << "threads " << threads << " sharded " << use_shards << " memo "
-            << use_memo;
+      GeneralizedRelation met = algebra::Intersect(a, b);
+      if (reference.empty()) {
+        reference = Fingerprint(met);
+        oracle::ExpectMatchesOracle(met, {&a, &b}, oracle::Intersection(a, b),
+                                    "batch " + std::to_string(batch));
+      } else {
+        EXPECT_EQ(reference, Fingerprint(met))
+            << "batch " << batch << " threads " << threads;
       }
     }
   }
 }
 
-TEST(ShardDifferentialTest, FoConjunctionChainMatchesUnsharded) {
+TEST(ShardDifferentialTest, DatalogFixpointMatchesClosedForm) {
+  const int n = 20;
   Database db;
-  db.SetRelation("edge", bench::PathGraph(24));
+  db.SetRelation("edge", bench::TwoPathGraph(n));
+  DatalogProgram program = DatalogParser::ParseProgram(R"(
+    tc(x, y) :- edge(x, y).
+    tc(x, y) :- tc(x, z), edge(z, y).
+  )").value();
+  std::string reference;
+  uint64_t reference_iterations = 0;
+  for (int threads : {1, 8}) {
+    DatalogOptions options;
+    options.eval_options.num_threads = threads;
+    DatalogEvaluator evaluator(program, &db, options);
+    Database idb = evaluator.Evaluate().value();
+    const GeneralizedRelation& tc = *idb.FindRelation("tc");
+    if (!reference.empty()) {
+      EXPECT_EQ(reference, Fingerprint(tc)) << "threads " << threads;
+      EXPECT_EQ(reference_iterations, evaluator.iterations())
+          << "threads " << threads;
+      continue;
+    }
+    reference = Fingerprint(tc);
+    reference_iterations = evaluator.iterations();
+    oracle::ExpectSemanticallyEqual(tc, TwoPathReach(n), "tc");
+  }
+}
+
+TEST(ShardDifferentialTest, FoConjunctionChainMatchesClosedForm) {
+  // reach_4 over the path 1 -> ... -> 24: x = y, or y lies 1..4 steps
+  // after x.
+  const int n = 24;
+  Database db;
+  db.SetRelation("edge", bench::PathGraph(n));
   Query query;
   int fresh = 0;
   query.head = {"x", "y"};
   query.body = bench::DoublingReach(2, "x", "y", &fresh);
-  std::string baseline;
-  {
-    EvalOptions options;
-    options.num_threads = 1;
-    options.use_shards = false;
-    options.use_closure_memo = false;
-    FoEvaluator evaluator(&db, options);
-    baseline = Fingerprint(evaluator.Evaluate(query).value());
-  }
-  for (int threads : {1, 8}) {
-    for (bool use_shards : {false, true}) {
-      EvalOptions options;
-      options.num_threads = threads;
-      options.use_shards = use_shards;
-      FoEvaluator evaluator(&db, options);
-      EXPECT_EQ(baseline, Fingerprint(evaluator.Evaluate(query).value()))
-          << "threads " << threads << " sharded " << use_shards;
+  GeneralizedRelation expected(2);
+  expected.AddTuple(GeneralizedTuple(
+      2, {DenseAtom(Term::Var(0), RelOp::kEq, Term::Var(1))}));
+  for (int64_t i = 1; i <= n; ++i) {
+    for (int64_t j = i + 1; j <= std::min<int64_t>(n, i + 4); ++j) {
+      expected.AddTuple(GeneralizedTuple::Point({i, j}));
     }
+  }
+  std::string reference;
+  for (int threads : {1, 8}) {
+    EvalOptions options;
+    options.num_threads = threads;
+    FoEvaluator evaluator(&db, options);
+    GeneralizedRelation answer = evaluator.Evaluate(query).value();
+    if (!reference.empty()) {
+      EXPECT_EQ(reference, Fingerprint(answer)) << "threads " << threads;
+      continue;
+    }
+    reference = Fingerprint(answer);
+    oracle::ExpectSemanticallyEqual(answer, expected, "reach_4");
   }
 }
 
 TEST(ShardCountersTest, ShardedJoinReportsShardPairsAndMemoHits) {
   GeneralizedRelation a = bench::RandomIntervals(64, 0, 41);
   GeneralizedRelation b = bench::RandomIntervals(64, 0, 42);
-  IndexModeScope indexed(true);
-  ShardModeScope sharded(true);
   EvalCounterSnapshot before = EvalCounters::Snapshot();
   GeneralizedRelation met = algebra::Intersect(a, b);
   EvalCounterSnapshot delta = EvalCounters::Snapshot() - before;
@@ -412,8 +443,6 @@ TEST(ShardCountersTest, ShardedJoinReportsShardPairsAndMemoHits) {
 // before that fix, every MutableIndex() detach dropped the partition and
 // the next probe paid a from-scratch quantile rebuild, O(n) per erase.
 TEST(ShardCountersTest, EraseLoopOnCopiedRelationKeepsShardPartition) {
-  IndexModeScope indexed(true);
-  ShardModeScope sharded(true);
   GeneralizedRelation rel = bench::RandomIntervals(128, 0, 77);
   rel.Index().Shards();  // fault in the partition (counts one build)
 
@@ -434,70 +463,6 @@ TEST(ShardCountersTest, EraseLoopOnCopiedRelationKeepsShardPartition) {
   EXPECT_EQ(copy.tuple_count(), stored.size() - stored.size() / 2);
   // The source snapshot is untouched (COW isolation).
   EXPECT_EQ(rel.tuple_count(), stored.size());
-}
-
-// The restricted closure sweep (ClosureFastPathEnabled) must be a drop-in
-// replacement for the legacy full PC-1 sweep: same satisfiability verdict
-// and same canonical form on arbitrary — including unsatisfiable and
-// degenerate — atom soups, and the same fixpoint through the evaluators at
-// any thread count.
-TEST(ClosureFastPathTest, RestrictedSweepMatchesFullSweepOnRandomSoups) {
-  std::mt19937_64 rng(2024);
-  const RelOp kOps[] = {RelOp::kLt, RelOp::kLe, RelOp::kEq,
-                        RelOp::kNeq, RelOp::kGe, RelOp::kGt};
-  int satisfiable = 0;
-  for (int round = 0; round < 400; ++round) {
-    const int arity = 1 + static_cast<int>(rng() % 4);
-    const int atoms = 1 + static_cast<int>(rng() % 10);
-    GeneralizedTuple tuple(arity);
-    for (int a = 0; a < atoms; ++a) {
-      Term lhs = Term::Var(static_cast<int>(rng() % arity));
-      Term rhs = (rng() % 2 == 0)
-                     ? Term::Const(Rational(static_cast<int64_t>(rng() % 12)))
-                     : Term::Var(static_cast<int>(rng() % arity));
-      tuple.AddAtom(DenseAtom(lhs, kOps[rng() % 6], rhs));
-    }
-    std::optional<GeneralizedTuple> fast, full;
-    {
-      ClosureFastPathScope sweep(true);
-      fast = tuple.CanonicalIfSatisfiable();
-    }
-    {
-      ClosureFastPathScope sweep(false);
-      full = tuple.CanonicalIfSatisfiable();
-    }
-    ASSERT_EQ(fast.has_value(), full.has_value()) << tuple.ToString();
-    if (fast.has_value()) {
-      ++satisfiable;
-      EXPECT_EQ(fast->ToString(), full->ToString()) << tuple.ToString();
-    }
-  }
-  // The soup must exercise both verdicts for the differential to bite.
-  EXPECT_GT(satisfiable, 40);
-  EXPECT_LT(satisfiable, 400);
-}
-
-TEST(ClosureFastPathTest, FixpointIdenticalWithAndWithoutFastPath) {
-  Database db;
-  db.SetRelation("e", bench::PathGraph(24));
-  DatalogProgram program = DatalogParser::ParseProgram(R"(
-    tc(x, y) :- e(x, y).
-    tc(x, y) :- tc(x, z), e(z, y).
-  )").value();
-  std::string reference;
-  for (int threads : {1, 8}) {
-    for (bool fastpath : {false, true}) {
-      DatalogOptions options;
-      options.eval_options.num_threads = threads;
-      options.eval_options.use_closure_fastpath = fastpath;
-      DatalogEvaluator evaluator(program, &db, options);
-      Database idb = evaluator.Evaluate().value();
-      std::string fingerprint = Fingerprint(*idb.FindRelation("tc"));
-      if (reference.empty()) reference = fingerprint;
-      EXPECT_EQ(fingerprint, reference)
-          << "threads=" << threads << " fastpath=" << fastpath;
-    }
-  }
 }
 
 }  // namespace

@@ -660,93 +660,6 @@ TEST(StorageEngineTest, StorageCountersAdvance) {
   EXPECT_GT(delta.storage_recovery_ns, 0u);
 }
 
-// DODBSNP1 snapshots store canonical atom lists verbatim, so a catalog
-// built under one canonical-form mode (minimal vs full; see
-// MinimalCanonicalScope) loads byte-identically under the other — the
-// loader's mode cannot rewrite stored bytes. Mutating the loaded relation
-// under the opposite mode must keep the AddTuple invariants: a semantic
-// duplicate is still deduplicated even though its canonical string now
-// differs from the stored one (subsumption is mutual entailment, not
-// string equality).
-TEST(SnapshotTest, CanonicalFormModeCrossLoadsVerbatim) {
-  for (bool write_minimal : {false, true}) {
-    Database db;
-    std::string written_fingerprint;
-    const std::string path = TestDir("xmode") + "/db.snap";
-    {
-      MinimalCanonicalScope mode(write_minimal);
-      db = RandomDatabase(29 + (write_minimal ? 1 : 0));
-      ASSERT_TRUE(WriteSnapshotFile(db, path).ok());
-      written_fingerprint = Fingerprint(db);
-    }
-    MinimalCanonicalScope mode(!write_minimal);
-    Result<Database> loaded = LoadSnapshotFile(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    ExpectStructurallyEqual(db, loaded.value());
-    EXPECT_EQ(Fingerprint(loaded.value()), written_fingerprint)
-        << "written minimal=" << write_minimal;
-    GeneralizedRelation mutated = *loaded.value().FindRelation("r2");
-    const size_t count = mutated.tuple_count();
-    ASSERT_GT(count, 0u);
-    // Re-insert every stored tuple from raw atoms: AddTuple canonicalizes
-    // under the *current* (opposite) mode, so the candidate's string form
-    // differs from the stored one — cross-form dedup must still hold.
-    for (const GeneralizedTuple& stored :
-         loaded.value().FindRelation("r2")->tuples()) {
-      mutated.AddTuple(GeneralizedTuple(stored.arity(),
-                                        stored.atoms().ToVector()));
-    }
-    EXPECT_EQ(mutated.tuple_count(), count)
-        << "cross-form duplicate not subsumed";
-  }
-}
-
-// The WAL replays set/insert records through the same verbatim merge the
-// command layer used (DODBWAL1 insert replay unions already-canonical
-// tuples without re-closing them), so recovery reproduces the acknowledged
-// catalog structurally no matter which canonical-form mode the recovering
-// process runs under.
-TEST(StorageEngineTest, WalReplayIsCanonicalFormModeInvariant) {
-  for (bool write_minimal : {false, true}) {
-    const std::string dir = TestDir("xmodewal");
-    std::string final_fingerprint;
-    {
-      MinimalCanonicalScope mode(write_minimal);
-      Database db;
-      StorageOptions options;
-      options.mode = DurabilityMode::kWal;  // no checkpoint on close
-      Result<std::unique_ptr<StorageEngine>> engine =
-          StorageEngine::Open(dir, &db, options);
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      RunScript(&db, engine.value().get(), nullptr);
-      final_fingerprint = Fingerprint(db);
-      ASSERT_TRUE(engine.value()->Close().ok());
-    }
-    {  // WAL replay under the opposite mode.
-      MinimalCanonicalScope mode(!write_minimal);
-      Database db;
-      Result<std::unique_ptr<StorageEngine>> engine =
-          StorageEngine::Open(dir, &db, {});
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      EXPECT_FALSE(engine.value()->recovery().snapshot_loaded);
-      EXPECT_GT(engine.value()->recovery().records_replayed, 0u);
-      EXPECT_EQ(Fingerprint(db), final_fingerprint)
-          << "written minimal=" << write_minimal;
-      ASSERT_TRUE(engine.value()->Close().ok());  // checkpoints
-    }
-    {  // Snapshot-seeded recovery under the writing mode again.
-      MinimalCanonicalScope mode(write_minimal);
-      Database db;
-      Result<std::unique_ptr<StorageEngine>> engine =
-          StorageEngine::Open(dir, &db, {});
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      EXPECT_TRUE(engine.value()->recovery().snapshot_loaded);
-      EXPECT_EQ(Fingerprint(db), final_fingerprint)
-          << "written minimal=" << write_minimal;
-    }
-  }
-}
-
 // The out-of-core layer's WAL-before-writeback contract, end to end. With a
 // batched (unsynced) WAL tail, spilling through a buffer pool whose
 // pre-writeback hook is StorageEngine::SyncWal must sync that tail before

@@ -189,6 +189,47 @@ TEST(TxnManagerTest, AutoCommitConflictsAnOpenTransactionOnTheSameRelation) {
   EXPECT_EQ(db.FindRelation("r0")->tuple_count(), 2u);
 }
 
+// A Begin that observes a commit's generation must also pin that commit's
+// snapshot; otherwise it passes first-committer-wins and can overwrite the
+// commit it never saw. Warming a large relation keeps any gap between the
+// generation moving and the snapshot moving open for a while, so a thread
+// spinning on generation() lands in it whenever it exists.
+TEST(TxnManagerTest, BeginThatSeesANewGenerationSeesItsCommit) {
+  Database db;
+  GeneralizedRelation big(1);
+  for (int64_t i = 0; i < 20000; ++i) {
+    GeneralizedTuple tuple(1);
+    tuple.AddAtom(
+        DenseAtom(Term::Var(0), RelOp::kGe, Term::Const(Rational(4 * i))));
+    tuple.AddAtom(
+        DenseAtom(Term::Var(0), RelOp::kLe, Term::Const(Rational(4 * i + 1))));
+    big.AddTuple(std::move(tuple));
+  }
+  db.SetRelation("big", std::move(big));
+  TransactionManager mgr(&db, nullptr, nullptr);
+  for (int round = 0; round < 8; ++round) {
+    const int64_t point = -1 - round;
+    const uint64_t before = mgr.generation();
+    bool pinned_the_write = false;
+    std::thread spinner([&] {
+      while (mgr.generation() == before) {
+      }
+      std::unique_ptr<Transaction> txn = mgr.Begin();
+      pinned_the_write =
+          txn->workspace().FindRelation("big")->Contains({Rational(point)});
+      mgr.Abort(std::move(txn));
+    });
+    std::unique_ptr<Transaction> writer = mgr.Begin();
+    ASSERT_TRUE(mgr.ExecuteBuffered(writer.get(),
+                                    "insert into big x0 = " +
+                                        std::to_string(point))
+                    .ok());
+    ASSERT_TRUE(mgr.Commit(std::move(writer)).ok());
+    spinner.join();
+    EXPECT_TRUE(pinned_the_write) << "round " << round;
+  }
+}
+
 // --- Durability: atomic commit groups under crash recovery ------------------
 
 TEST(TxnCrashTest, CommittedTransactionsSurviveAbortedAndInFlightVanish) {

@@ -2,7 +2,7 @@
 // toggles a guard with generous limits (never violated) against the
 // guard-free path on the same workload, so same-n row pairs isolate the
 // per-checkpoint overhead: the atomic counter bumps in AddTuplesParallel /
-// shard-pair jobs / closure sweeps, and the strided deadline reads. The
+// shard-pair probes / closure sweeps, and the strided deadline reads. The
 // budget for the whole feature is < 2% on these cases (an untripped guard
 // must be effectively free, since \limit is meant to be left on in the
 // shell). Outputs are verified structurally identical before timing —

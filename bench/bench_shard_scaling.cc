@@ -1,14 +1,14 @@
 // The engine's scaling over input size and worker threads: every row runs
-// the one engine (signature-bound shards, selectivity planner, cross-round
-// closure memo, restricted closure sweep), sweeping n at one thread and
-// threads at n = 64. A threads:K row slower than its threads:1 sibling is a
+// the one engine (signature-bound shards, cross-round closure memo,
+// restricted closure sweep), sweeping n at one thread and threads at
+// n = 64. A threads:K row slower than its threads:1 sibling is a
 // parallelism bug to chase, not noise to record.
 //
 //   - ShardedIntersect: join-heavy algebra over scattered boxes; the
-//     shard-pair cover matrix prunes whole blocks of the candidate product
-//     and surviving pairs run as independent thread-pool jobs.
-//   - ShardedEquiJoinCompose: path-edge composition; the planner picks the
-//     enumeration side and the per-shard interval indexes bound the probes.
+//     shard-pair cover matrix prunes whole blocks of the candidate product,
+//     and the surviving pairs are canonicalized on the thread pool.
+//   - ShardedEquiJoinCompose: path-edge composition; the per-shard interval
+//     indexes bound the probes of each surviving shard pair.
 //   - ShardedTransitiveClosure: the Datalog fixpoint; the restricted
 //     closure sweep and the cross-round closure memo carry most of the
 //     canonicalization cost, with shard-skipping subsumption scans on the

@@ -21,9 +21,11 @@
 # compiler version, effective evaluation thread count, CMake build type and
 # a provenance verdict, so archived records stay attributable.
 #
-# Committed records must come from an optimized build of a clean checkout:
-# the script refuses to run against a Debug (or default, un-optimized) build
-# tree or a dirty working tree. BENCH_ALLOW_DIRTY=1 overrides the refusal
+# Committed records must come from an optimized build of a clean checkout
+# on a multi-core host: the script refuses to run against a Debug (or
+# default, un-optimized) build tree, a dirty working tree, or a host with
+# one CPU (nproc = 1), where no threads:K row measures parallelism.
+# BENCH_ALLOW_DIRTY=1 overrides the refusal
 # for local experiments — the JSONs are then stamped provenance=tainted and
 # must not be committed (check_perf_regression.py and code review key off
 # the stamp).
@@ -98,14 +100,20 @@ case "$build_type" in
   *) taint="un-optimized build type '$build_type'" ;;
 esac
 if [[ "$git_sha" == *-dirty || "$git_sha" == unknown ]]; then
-  taint="${taint:+$taint, }unclean git revision '$git_sha'"
+  taint="${taint:+$taint; }unclean git revision '$git_sha'"
 fi
+if [[ "$(nproc 2>/dev/null || echo 1)" -le 1 ]]; then
+  taint="${taint:+$taint; }single-CPU host"
+fi
+# Reasons join with "; ": google-benchmark splits --benchmark_context on
+# commas.
 provenance="clean"
 if [[ -n "$taint" ]]; then
   if [[ -z "${BENCH_ALLOW_DIRTY:-}" ]]; then
     echo "error: refusing to record benchmarks from: $taint" >&2
     echo "  committed BENCH_*.json must come from a Release build of a" >&2
-    echo "  clean checkout; set BENCH_ALLOW_DIRTY=1 to record anyway" >&2
+    echo "  clean checkout on a multi-core host; set BENCH_ALLOW_DIRTY=1" >&2
+    echo "  to record anyway" >&2
     echo "  (the JSONs are then stamped provenance=tainted and must not" >&2
     echo "  be committed)" >&2
     exit 1

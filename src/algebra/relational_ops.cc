@@ -5,15 +5,12 @@
 #include <optional>
 #include <utility>
 
-#include "algebra/join_planner.h"
 #include "cells/cell_decomposition.h"
-#include "constraints/closure_cache.h"
 #include "constraints/eval_counters.h"
 #include "constraints/relation_index.h"
 #include "constraints/relation_shards.h"
 #include "core/check.h"
 #include "core/query_guard.h"
-#include "core/thread_pool.h"
 
 namespace dodb {
 namespace algebra {
@@ -24,9 +21,9 @@ namespace {
 // setup cost; both paths produce bit-identical relations either way.
 constexpr size_t kIndexMinPairs = 16;
 
-// Below this many candidate pairs the shard-pair machinery (profiles, cover
-// matrix, per-pair jobs) costs more than it prunes; the flat indexed path
-// handles small joins.
+// Below this many candidate pairs the shard-pair machinery (cover matrix,
+// per-shard probes) costs more than it prunes; the flat probe handles
+// small joins.
 constexpr size_t kShardMinPairs = 256;
 
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
@@ -53,10 +50,9 @@ void FailPagedFetch(const Status& status) {
 // input. Resident relations hand out references to their vector; paged
 // relations decode positions through their bounded run cache, so an
 // operator's live decoded memory stays O(runs in flight) while signatures
-// keep coming from the resident index. Get/Signature are safe to call
-// concurrently (the run cache locks; index signatures are read-only here),
-// which is what lets paged inputs flow through the existing shard-pair
-// pool jobs unchanged.
+// keep coming from the resident index. Get is safe to call concurrently
+// (the run cache locks), which is what lets AddTuplesParallel's workers
+// build candidates from either form through one body.
 class InputTuples {
  public:
   explicit InputTuples(const GeneralizedRelation& rel)
@@ -117,222 +113,153 @@ void ForEachTuple(const GeneralizedRelation& rel, Fn&& fn) {
   }
 }
 
-// One candidate surviving the shard-pair filters, keyed by its row-major
-// pair rank i * |tb| + j so the sequential merge can replay the exact
-// nested-loop insertion sequence (minus provably-unsatisfiable pairs) no
-// matter which shard-pair job produced it.
-struct KeyedCandidate {
-  uint64_t key;
-  std::optional<GeneralizedTuple> canonical;
-};
+using ColumnPairs = std::vector<std::pair<int, int>>;
 
-// Whether the sharded pair-join path applies: both inputs sharded into more
-// than one shard and the pair matrix is large enough to amortize it.
-bool ShardedJoinApplies(const GeneralizedRelation& a,
-                        const GeneralizedRelation& b, size_t total_pairs) {
-  if (total_pairs < kShardMinPairs) return false;
-  return a.Index().Shards()->shard_count() > 1 &&
-         b.Index().Shards()->shard_count() > 1;
+// Whether tuple bounds `sa` (of a) and `sb` (of b) can agree on every
+// joined column pair.
+bool BoundsAgree(const TupleSignature& sa, const TupleSignature& sb,
+                 const ColumnPairs& columns) {
+  for (const auto& [left, right] : columns) {
+    if (!BoundsMayOverlap(sa.columns[left], sb.columns[right])) return false;
+  }
+  return true;
 }
 
-// Shard-pair–parallel join kernel shared by Intersect and EquiJoin.
-//
-// A candidate pair (i, j) survives iff, for every (left, right) in
-// `test_columns`, tuple i's bounds on `left` and tuple j's bounds on
-// `right` can agree on a value — the same predicate the flat indexed path
-// applies, so the surviving pair set is identical; shard covers only decide
-// which pairs get *tested*. Surviving candidates are canonicalized inside
-// the shard-pair jobs (per-shard parallelism instead of per-tuple-block)
-// and merged sequentially in ascending row-major key order, which replays
-// the nested-loop insertion sequence exactly — outputs stay bit-identical
-// to the flat indexed path at any thread count.
-//
-// The planner picks which side enumerates and which side's per-shard
-// interval indexes are probed (an enumeration-only decision): enumerating
-// the smaller side minimizes probe work.
-void ShardedJoinInto(
-    GeneralizedRelation* out, const GeneralizedRelation& a,
-    const GeneralizedRelation& b,
-    const std::vector<std::pair<int, int>>& test_columns,
-    const std::function<GeneralizedTuple(size_t, size_t)>& make) {
-  const RelationIndex& ia = a.Index();
-  const RelationIndex& ib = b.Index();
-  const RelationShards& sha = *ia.Shards();
-  const RelationShards& shb = *ib.Shards();
-  const size_t nb = b.tuple_count();
-  const int probe_left = test_columns.front().first;
-  const int probe_right = test_columns.front().second;
-  const bool keep =
-      KeepOrientation(ProfileRelation(a), ProfileRelation(b));
-  if (!keep) EvalCounters::AddPlannerReorders(1);
-
-  // Cover matrix: keep only shard pairs whose covers can agree on every
-  // tested column pair (member boxes are contained in their shard's cover,
-  // so a disjoint cover pair proves every member pair disjoint).
-  struct ShardPair {
-    uint32_t sa;
-    uint32_t sb;
-  };
-  std::vector<ShardPair> live;
-  const uint64_t considered =
-      static_cast<uint64_t>(sha.shard_count()) * shb.shard_count();
-  for (uint32_t sa = 0; sa < sha.shard_count(); ++sa) {
-    const RelationShards::ShardStats& stats_a = sha.stats(sa);
-    if (stats_a.size == 0) continue;
-    for (uint32_t sb = 0; sb < shb.shard_count(); ++sb) {
-      const RelationShards::ShardStats& stats_b = shb.stats(sb);
-      if (stats_b.size == 0) continue;
-      bool compatible = true;
-      for (const auto& [left, right] : test_columns) {
-        if (!BoundsMayOverlap(stats_a.cover.columns[left],
-                              stats_b.cover.columns[right])) {
-          compatible = false;
-          break;
-        }
-      }
-      if (compatible) live.push_back(ShardPair{sa, sb});
+// The column pair both probes key on: the one whose b column is bounded in
+// the most b tuples (ties to the earliest), where interval windowing
+// discriminates best.
+std::pair<int, int> ProbePair(const RelationIndex& ib,
+                              const ColumnPairs& columns) {
+  if (columns.size() == 1) return columns.front();
+  std::pair<int, int> best = columns.front();
+  size_t best_count = 0;
+  for (const std::pair<int, int>& pair : columns) {
+    size_t count = 0;
+    for (size_t j = 0; j < ib.size(); ++j) {
+      const ColumnBound& bound = ib.signature(j).columns[pair.second];
+      if (bound.has_lower || bound.has_upper) ++count;
+    }
+    if (count > best_count) {
+      best = pair;
+      best_count = count;
     }
   }
-  EvalCounters::AddShardPairs(considered, considered - live.size());
+  return best;
+}
 
-  // Fault in the lazy member lists and the probed per-shard interval
-  // indexes sequentially, so concurrent jobs read warm caches instead of
-  // serializing on the build mutex.
-  auto probe_start = std::chrono::steady_clock::now();
-  for (const ShardPair& pair : live) {
-    sha.Members(pair.sa);
-    shb.Members(pair.sb);
-    if (keep) {
-      ib.ShardIntervalIndex(pair.sb, probe_right);
+// The one candidate-pair enumerator behind Intersect and EquiJoin (and so
+// CrossProduct and Difference): the pairs (i, j) of a × b, in row-major
+// order, whose bounds on `left` (in a) and `right` (in b) can agree for
+// every joined column pair (left, right).
+// A skipped pair is provably unsatisfiable, so AddTuplesParallel over the
+// rest replays the nested loop's insertion sequence minus no-ops, and the
+// output is bit-identical to the full product's whichever strategy ran.
+// The strategy is picked by input size:
+//   - every pair, below kIndexMinPairs or with no joined columns (kept
+//     implicit, so a large cross product never lists its pairs before the
+//     guard's upfront work check sees it);
+//   - the flat probe: each tuple of a probes b's interval index;
+//   - shard pairs, from kShardMinPairs when both sides have several
+//     shards: shard pairs whose covers cannot agree are skipped whole, and
+//     the members of the rest probe b's per-shard interval indexes.
+// Shard layout only decides which pairs get tested, never which survive.
+class CandidatePairs {
+ public:
+  CandidatePairs(const GeneralizedRelation& a, const GeneralizedRelation& b,
+                 const ColumnPairs& columns)
+      : nb_(b.tuple_count()), total_(a.tuple_count() * nb_) {
+    EvalCounters::AddPairsConsidered(total_);
+    if (total_ == 0 || columns.empty() || total_ < kIndexMinPairs) return;
+    all_ = false;
+    const RelationIndex& ib = b.Index();
+    if (total_ >= kShardMinPairs && a.Index().Shards()->shard_count() > 1 &&
+        ib.Shards()->shard_count() > 1) {
+      ProbeShardPairs(a.Index(), ib, columns);
     } else {
-      ia.ShardIntervalIndex(pair.sa, probe_left);
+      ProbeFlat(InputTuples(a), ib, columns);
     }
+    EvalCounters::AddPairsPruned(total_ - listed_.size());
   }
 
-  // One job per surviving shard pair: filter member pairs by the exact
-  // per-pair predicate and canonicalize the survivors. The memo pointer is
-  // read here (calling thread) and captured — workers don't inherit the
-  // thread-local scope.
-  ClosureCache* memo = CurrentClosureCache();
-  QueryGuard* guard = CurrentQueryGuard();
-  auto eval_pair = [&](size_t k) -> std::vector<KeyedCandidate> {
-    // Workers don't inherit the guard thread-local either; re-install it so
-    // closure sweeps and the memo observe it, and bail before enumerating
-    // when a sibling job already tripped.
-    QueryGuardScope guard_scope(guard);
-    if (guard != nullptr && !guard->Checkpoint(GuardSite::kShardJoin)) {
-      return {};
-    }
-    GuardTicker ticker(guard, GuardSite::kShardJoin);
-    const ShardPair& pair = live[k];
-    const std::vector<size_t>& members_a = sha.Members(pair.sa);
-    const std::vector<size_t>& members_b = shb.Members(pair.sb);
-    std::vector<std::pair<size_t, size_t>> pairs;
+  size_t size() const { return all_ ? total_ : listed_.size(); }
+  std::pair<size_t, size_t> operator[](size_t k) const {
+    return all_ ? std::make_pair(k / nb_, k % nb_) : listed_[k];
+  }
+
+ private:
+  void ProbeFlat(const InputTuples& in_a, const RelationIndex& ib,
+                 const ColumnPairs& columns) {
+    const auto [left, right] = ProbePair(ib, columns);
+    const ColumnIntervalIndex* intervals = ib.IntervalIndex(right);
+    auto probe_start = std::chrono::steady_clock::now();
     std::vector<size_t> window;
-    auto test = [&](size_t i, size_t j) {
-      const TupleSignature& siga = ia.signature(i);
-      const TupleSignature& sigb = ib.signature(j);
-      for (const auto& [left, right] : test_columns) {
-        if (!BoundsMayOverlap(siga.columns[left], sigb.columns[right])) {
-          return false;
-        }
-      }
-      return true;
-    };
-    if (keep) {
-      const ColumnIntervalIndex* intervals =
-          ib.ShardIntervalIndex(pair.sb, probe_right);
-      for (size_t i : members_a) {
-        if (!ticker.Tick()) return {};
-        window.clear();
-        intervals->AppendCandidates(ia.signature(i).columns[probe_left],
-                                    &window);
-        for (size_t w : window) {
-          size_t j = members_b[w];
-          if (test(i, j)) pairs.emplace_back(i, j);
-        }
-      }
-    } else {
-      const ColumnIntervalIndex* intervals =
-          ia.ShardIntervalIndex(pair.sa, probe_left);
-      for (size_t j : members_b) {
-        if (!ticker.Tick()) return {};
-        window.clear();
-        intervals->AppendCandidates(ib.signature(j).columns[probe_right],
-                                    &window);
-        for (size_t w : window) {
-          size_t i = members_a[w];
-          if (test(i, j)) pairs.emplace_back(i, j);
+    GuardTicker ticker(CurrentQueryGuard(), GuardSite::kAlgebraMaterialize);
+    for (size_t i = 0; i < in_a.size(); ++i) {
+      if (!ticker.Tick()) break;
+      const TupleSignature& sa = in_a.Signature(i);
+      window.clear();
+      intervals->AppendCandidates(sa.columns[left], &window);
+      std::sort(window.begin(), window.end());
+      for (size_t j : window) {
+        if (BoundsAgree(sa, ib.signature(j), columns)) {
+          listed_.emplace_back(i, j);
         }
       }
     }
-    std::vector<KeyedCandidate> result;
-    result.reserve(pairs.size());
-    // Stride 64 here, not 1024: each iteration runs a full closure, so a
-    // finer stride still costs well under the canonicalization and keeps
-    // the deadline reaction inside one operator's millisecond budget. An
-    // aborted job returns an empty chunk — a tripped run never surfaces
-    // the merged relation, only the guard's Status.
-    GuardTicker canon_ticker(guard, GuardSite::kShardJoin, 64);
-    for (const auto& [i, j] : pairs) {
-      if (!canon_ticker.Tick()) return {};
-      GeneralizedTuple candidate = make(i, j);
-      std::optional<GeneralizedTuple> canonical =
-          memo != nullptr ? memo->CanonicalIfSatisfiable(std::move(candidate))
-                          : candidate.CanonicalIfSatisfiable();
-      result.push_back(
-          KeyedCandidate{static_cast<uint64_t>(i) * nb + j,
-                         std::move(canonical)});
-    }
-    return result;
-  };
-
-  std::vector<std::vector<KeyedCandidate>> per_pair;
-  if (!ShouldParallelize(live.size())) {
-    per_pair.reserve(live.size());
-    for (size_t k = 0; k < live.size(); ++k) per_pair.push_back(eval_pair(k));
-  } else {
-    per_pair = ParallelMap<std::vector<KeyedCandidate>>(live.size(),
-                                                        eval_pair);
+    EvalCounters::AddIndexProbes(in_a.size(), ElapsedNs(probe_start));
   }
-  EvalCounters::AddIndexProbes(live.size(), ElapsedNs(probe_start));
 
-  size_t survivors = 0;
-  for (const auto& chunk : per_pair) survivors += chunk.size();
-  EvalCounters::AddPairsPruned(a.tuple_count() * nb - survivors);
-  EvalCounters::AddCanonicalized(survivors);
-
-  std::vector<KeyedCandidate> merged;
-  merged.reserve(survivors);
-  for (auto& chunk : per_pair) {
-    for (KeyedCandidate& candidate : chunk) {
-      merged.push_back(std::move(candidate));
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const KeyedCandidate& x, const KeyedCandidate& y) {
-              return x.key < y.key;
-            });
-  uint64_t inserted = 0;
-  for (KeyedCandidate& candidate : merged) {
-    if (!candidate.canonical.has_value()) continue;
-    if (guard != nullptr) {
-      if ((inserted++ & 63) == 63 &&
-          !guard->Checkpoint(GuardSite::kShardJoin)) {
-        return;
+  void ProbeShardPairs(const RelationIndex& ia, const RelationIndex& ib,
+                       const ColumnPairs& columns) {
+    const RelationShards& sha = *ia.Shards();
+    const RelationShards& shb = *ib.Shards();
+    const auto [left, right] = ProbePair(ib, columns);
+    auto probe_start = std::chrono::steady_clock::now();
+    std::vector<size_t> window;
+    GuardTicker ticker(CurrentQueryGuard(), GuardSite::kShardJoin);
+    uint64_t live = 0;
+    for (uint32_t sa = 0; sa < sha.shard_count(); ++sa) {
+      const RelationShards::ShardStats& stats_a = sha.stats(sa);
+      if (stats_a.size == 0) continue;
+      for (uint32_t sb = 0; sb < shb.shard_count(); ++sb) {
+        // Member boxes lie inside their shard's cover, so covers that
+        // cannot agree prove every member pair unsatisfiable.
+        const RelationShards::ShardStats& stats_b = shb.stats(sb);
+        if (stats_b.size == 0 ||
+            !BoundsAgree(stats_a.cover, stats_b.cover, columns)) {
+          continue;
+        }
+        ++live;
+        const std::vector<size_t>& members_b = shb.Members(sb);
+        const ColumnIntervalIndex* intervals =
+            ib.ShardIntervalIndex(sb, right);
+        for (size_t i : sha.Members(sa)) {
+          // A tripped guard discards the operator's output, so the partial
+          // list never surfaces.
+          if (!ticker.Tick()) return;
+          const TupleSignature& si = ia.signature(i);
+          window.clear();
+          intervals->AppendCandidates(si.columns[left], &window);
+          for (size_t w : window) {
+            if (BoundsAgree(si, ib.signature(members_b[w]), columns)) {
+              listed_.emplace_back(i, members_b[w]);
+            }
+          }
+        }
       }
-      uint64_t bytes = candidate.canonical->ApproxBytes();
-      out->AddCanonicalTuple(std::move(*candidate.canonical));
-      if (!guard->AccountBytes(GuardSite::kShardJoin, bytes) ||
-          !guard->CheckRelationSize(GuardSite::kShardJoin,
-                                    out->tuple_count())) {
-        return;
-      }
-      continue;
     }
-    out->AddCanonicalTuple(std::move(*candidate.canonical));
+    const uint64_t considered =
+        static_cast<uint64_t>(sha.shard_count()) * shb.shard_count();
+    EvalCounters::AddShardPairs(considered, considered - live);
+    std::sort(listed_.begin(), listed_.end());
+    EvalCounters::AddIndexProbes(live, ElapsedNs(probe_start));
   }
-}
+
+  const size_t nb_;
+  const size_t total_;
+  bool all_ = true;
+  std::vector<std::pair<size_t, size_t>> listed_;
+};
 
 }  // namespace
 
@@ -356,114 +283,17 @@ GeneralizedRelation Union(const GeneralizedRelation& a,
 GeneralizedRelation Intersect(const GeneralizedRelation& a,
                               const GeneralizedRelation& b) {
   DODB_CHECK_MSG(a.arity() == b.arity(), "Intersect arity mismatch");
+  // Column-aligned conjunction: every column is a joined pair.
+  ColumnPairs columns;
+  columns.reserve(a.arity());
+  for (int c = 0; c < a.arity(); ++c) columns.emplace_back(c, c);
+  InputTuples in_a(a);
+  InputTuples in_b(b);
+  CandidatePairs pairs(a, b, columns);
   GeneralizedRelation out(a.arity());
-  if (a.is_paged() || b.is_paged()) {
-    // Streaming variant: same paths, same enumeration orders, same pruning
-    // predicates as the resident code below — signatures come from the
-    // resident index and tuple payloads through the bounded run caches, so
-    // outputs stay bit-identical while decoded memory stays O(runs in
-    // flight). Kept separate so the resident hot path pays nothing.
-    if (a.IsEmpty() || b.IsEmpty()) return out;
-    InputTuples in_a(a);
-    InputTuples in_b(b);
-    const size_t nb = in_b.size();
-    const size_t total = in_a.size() * nb;
-    EvalCounters::AddPairsConsidered(total);
-    if (a.arity() == 0 || total < kIndexMinPairs) {
-      out.AddTuplesParallel(total, [&](size_t i) {
-        return in_a.Get(i / nb).Conjoin(in_b.Get(i % nb));
-      });
-      return out;
-    }
-    if (ShardedJoinApplies(a, b, total)) {
-      std::vector<std::pair<int, int>> columns;
-      columns.reserve(a.arity());
-      for (int c = 0; c < a.arity(); ++c) columns.emplace_back(c, c);
-      ShardedJoinInto(&out, a, b, columns, [&](size_t i, size_t j) {
-        return in_a.Get(i).Conjoin(in_b.Get(j));
-      });
-      return out;
-    }
-    const RelationIndex& index = b.Index();
-    const int probe_column = index.ProbeColumn(b.arity());
-    const ColumnIntervalIndex* intervals = index.IntervalIndex(probe_column);
-    auto probe_start = std::chrono::steady_clock::now();
-    std::vector<std::pair<size_t, size_t>> pairs;
-    std::vector<size_t> window;
-    GuardTicker ticker(CurrentQueryGuard(), GuardSite::kAlgebraMaterialize);
-    for (size_t i = 0; i < in_a.size(); ++i) {
-      if (!ticker.Tick()) break;
-      const TupleSignature& sa = in_a.Signature(i);
-      window.clear();
-      intervals->AppendCandidates(sa.columns[probe_column], &window);
-      std::sort(window.begin(), window.end());
-      for (size_t j : window) {
-        if (SignaturesMayOverlap(sa, index.signature(j))) {
-          pairs.emplace_back(i, j);
-        }
-      }
-    }
-    EvalCounters::AddIndexProbes(in_a.size(), ElapsedNs(probe_start));
-    EvalCounters::AddPairsPruned(total - pairs.size());
-    out.AddTuplesParallel(pairs.size(), [&](size_t k) {
-      return in_a.Get(pairs[k].first).Conjoin(in_b.Get(pairs[k].second));
-    });
-    return out;
-  }
-  const std::vector<GeneralizedTuple>& ta = a.tuples();
-  const std::vector<GeneralizedTuple>& tb = b.tuples();
-  if (ta.empty() || tb.empty()) return out;
-  const size_t total = ta.size() * tb.size();
-  EvalCounters::AddPairsConsidered(total);
-  if (a.arity() == 0 || total < kIndexMinPairs) {
-    // The pairwise-conjunction product in row-major order, so the merge
-    // matches the classic nested loop exactly.
-    out.AddTuplesParallel(total, [&](size_t i) {
-      return ta[i / tb.size()].Conjoin(tb[i % tb.size()]);
-    });
-    return out;
-  }
-  if (ShardedJoinApplies(a, b, total)) {
-    // Sharded path: prune whole shard pairs by their cover boxes, then test
-    // and canonicalize surviving member pairs inside per-shard-pair pool
-    // jobs. Intersect conjoins column-aligned, so the per-pair test spans
-    // every column.
-    std::vector<std::pair<int, int>> columns;
-    columns.reserve(a.arity());
-    for (int c = 0; c < a.arity(); ++c) columns.emplace_back(c, c);
-    ShardedJoinInto(&out, a, b, columns, [&](size_t i, size_t j) {
-      return ta[i].Conjoin(tb[j]);
-    });
-    return out;
-  }
-  // Indexed path: enumerate, still in row-major order, only the pairs whose
-  // per-column bound boxes share a point. A pruned pair is provably
-  // unsatisfiable, so it would have contributed nothing to the merge — the
-  // surviving sequence is exactly the nested-loop sequence minus no-ops, and
-  // the result is bit-identical to the full product's.
-  const RelationIndex& index = b.Index();
-  const int probe_column = index.ProbeColumn(b.arity());
-  const ColumnIntervalIndex* intervals = index.IntervalIndex(probe_column);
-  auto probe_start = std::chrono::steady_clock::now();
-  std::vector<std::pair<size_t, size_t>> pairs;
-  std::vector<size_t> window;
-  GuardTicker ticker(CurrentQueryGuard(), GuardSite::kAlgebraMaterialize);
-  for (size_t i = 0; i < ta.size(); ++i) {
-    if (!ticker.Tick()) break;
-    const TupleSignature& sa = ta[i].CachedSignature();
-    window.clear();
-    intervals->AppendCandidates(sa.columns[probe_column], &window);
-    std::sort(window.begin(), window.end());
-    for (size_t j : window) {
-      if (SignaturesMayOverlap(sa, index.signature(j))) {
-        pairs.emplace_back(i, j);
-      }
-    }
-  }
-  EvalCounters::AddIndexProbes(ta.size(), ElapsedNs(probe_start));
-  EvalCounters::AddPairsPruned(total - pairs.size());
   out.AddTuplesParallel(pairs.size(), [&](size_t k) {
-    return ta[pairs[k].first].Conjoin(tb[pairs[k].second]);
+    const auto [i, j] = pairs[k];
+    return in_a.Get(i).Conjoin(in_b.Get(j));
   });
   return out;
 }
@@ -556,116 +386,57 @@ GeneralizedRelation ComplementViaDnf(const GeneralizedRelation& rel) {
 GeneralizedRelation Difference(const GeneralizedRelation& a,
                                const GeneralizedRelation& b) {
   DODB_CHECK_MSG(a.arity() == b.arity(), "Difference arity mismatch");
-  if (a.is_paged() || b.is_paged()) {
-    // Streaming variant of the prefilter below (same predicate, same
-    // order); the Intersect/Complement it feeds handle paged inputs
-    // themselves.
-    if (a.arity() > 0 && !a.IsEmpty() && !b.IsEmpty() &&
-        a.tuple_count() * b.tuple_count() >= kIndexMinPairs) {
-      const RelationIndex& index = b.Index();
-      InputTuples in_b(b);
-      GeneralizedRelation kept(a.arity());
-      uint64_t checks = 0;
-      auto probe_start = std::chrono::steady_clock::now();
-      std::vector<size_t> window;
-      GuardTicker ticker(CurrentQueryGuard(), GuardSite::kAlgebraMaterialize);
-      ForEachTuple(a, [&](const GeneralizedTuple& tuple) {
-        if (!ticker.Tick()) return false;
-        window.clear();
-        index.AppendOverlapCandidates(tuple.CachedSignature(), &window);
-        bool contained = false;
-        for (size_t j : window) {
-          ++checks;
-          if (tuple.EntailsTuple(in_b.Get(j))) {
-            contained = true;
-            break;
-          }
-        }
-        if (!contained) kept.AddCanonicalTuple(tuple);
-        return true;
-      });
-      EvalCounters::AddIndexProbes(a.tuple_count(), ElapsedNs(probe_start));
-      EvalCounters::AddSubsumptionChecks(checks);
-      if (kept.IsEmpty()) return kept;
-      return Intersect(kept, Complement(b));
-    }
+  if (a.arity() == 0 || a.IsEmpty() || b.IsEmpty() ||
+      a.tuple_count() * b.tuple_count() < kIndexMinPairs) {
     return Intersect(a, Complement(b));
   }
-  if (a.arity() > 0 && !a.IsEmpty() && !b.IsEmpty() &&
-      a.tuples().size() * b.tuples().size() >= kIndexMinPairs) {
-    // Overlap-restricted containment pre-filter: a tuple of `a` wholly inside
-    // a single tuple of `b` contributes nothing to a - b, and every Intersect
-    // candidate it would have produced against not(b) is unsatisfiable — so
-    // dropping it up front removes only no-ops and the result stays
-    // bit-identical. In semi-naive fixpoints most re-derived tuples fall out
-    // here, often before the complement is ever computed.
-    const RelationIndex& index = b.Index();
-    const std::vector<GeneralizedTuple>& tb = b.tuples();
-    GeneralizedRelation kept(a.arity());
-    uint64_t checks = 0;
-    auto probe_start = std::chrono::steady_clock::now();
-    std::vector<size_t> window;
-    GuardTicker ticker(CurrentQueryGuard(), GuardSite::kAlgebraMaterialize);
-    for (const GeneralizedTuple& tuple : a.tuples()) {
-      if (!ticker.Tick()) break;
-      window.clear();
-      index.AppendOverlapCandidates(tuple.CachedSignature(), &window);
-      bool contained = false;
-      for (size_t j : window) {
-        ++checks;
-        if (tuple.EntailsTuple(tb[j])) {
-          contained = true;
-          break;
-        }
+  // Overlap-restricted containment pre-filter: a tuple of `a` wholly inside
+  // a single tuple of `b` contributes nothing to a - b, and every Intersect
+  // candidate it would have produced against not(b) is unsatisfiable — so
+  // dropping it up front removes only no-ops and the result stays
+  // bit-identical. In semi-naive fixpoints most re-derived tuples fall out
+  // here, often before the complement is ever computed.
+  const RelationIndex& index = b.Index();
+  InputTuples in_b(b);
+  GeneralizedRelation kept(a.arity());
+  uint64_t checks = 0;
+  auto probe_start = std::chrono::steady_clock::now();
+  std::vector<size_t> window;
+  GuardTicker ticker(CurrentQueryGuard(), GuardSite::kAlgebraMaterialize);
+  ForEachTuple(a, [&](const GeneralizedTuple& tuple) {
+    if (!ticker.Tick()) return false;
+    window.clear();
+    index.AppendOverlapCandidates(tuple.CachedSignature(), &window);
+    bool contained = false;
+    for (size_t j : window) {
+      ++checks;
+      if (tuple.EntailsTuple(in_b.Get(j))) {
+        contained = true;
+        break;
       }
-      if (!contained) kept.AddCanonicalTuple(tuple);
     }
-    EvalCounters::AddIndexProbes(a.tuples().size(), ElapsedNs(probe_start));
-    EvalCounters::AddSubsumptionChecks(checks);
-    if (kept.IsEmpty()) return kept;
-    return Intersect(kept, Complement(b));
-  }
-  return Intersect(a, Complement(b));
+    if (!contained) kept.AddCanonicalTuple(tuple);
+    return true;
+  });
+  EvalCounters::AddIndexProbes(a.tuple_count(), ElapsedNs(probe_start));
+  EvalCounters::AddSubsumptionChecks(checks);
+  if (kept.IsEmpty()) return kept;
+  return Intersect(kept, Complement(b));
 }
 
 GeneralizedRelation CrossProduct(const GeneralizedRelation& a,
                                  const GeneralizedRelation& b) {
-  int arity = a.arity() + b.arity();
-  std::vector<int> a_map(a.arity());
-  for (int i = 0; i < a.arity(); ++i) a_map[i] = i;
-  std::vector<int> b_map(b.arity());
-  for (int i = 0; i < b.arity(); ++i) b_map[i] = a.arity() + i;
-  GeneralizedRelation out(arity);
-  if (a.is_paged() || b.is_paged()) {
-    // Streaming variant: widen per candidate instead of precomputing
-    // wide_a — the candidate conjunction (and so the canonical output) is
-    // identical, only the resident precompute is skipped.
-    InputTuples in_a(a);
-    InputTuples in_b(b);
-    const size_t nb = in_b.size();
-    out.AddTuplesParallel(nb == 0 ? 0 : in_a.size() * nb, [&](size_t i) {
-      return in_a.Get(i / nb).Reindexed(a_map, arity).Conjoin(
-          in_b.Get(i % nb).Reindexed(b_map, arity));
-    });
-    return out;
-  }
-  const std::vector<GeneralizedTuple>& tb = b.tuples();
-  std::vector<GeneralizedTuple> wide_a;
-  wide_a.reserve(a.tuples().size());
-  for (const GeneralizedTuple& ta : a.tuples()) {
-    wide_a.push_back(ta.Reindexed(a_map, arity));
-  }
-  out.AddTuplesParallel(
-      tb.empty() ? 0 : wide_a.size() * tb.size(), [&](size_t i) {
-        return wide_a[i / tb.size()].Conjoin(
-            tb[i % tb.size()].Reindexed(b_map, arity));
-      });
-  return out;
+  return EquiJoin(a, b, {});
 }
 
 GeneralizedRelation EquiJoin(
     const GeneralizedRelation& a, const GeneralizedRelation& b,
     const std::vector<std::pair<int, int>>& column_pairs) {
+  const int arity = a.arity() + b.arity();
+  std::vector<int> a_map(a.arity());
+  for (int i = 0; i < a.arity(); ++i) a_map[i] = i;
+  std::vector<int> b_map(b.arity());
+  for (int i = 0; i < b.arity(); ++i) b_map[i] = a.arity() + i;
   std::vector<DenseAtom> eq_atoms;
   eq_atoms.reserve(column_pairs.size());
   for (const auto& [left, right] : column_pairs) {
@@ -674,168 +445,29 @@ GeneralizedRelation EquiJoin(
     eq_atoms.push_back(DenseAtom(Term::Var(left), RelOp::kEq,
                                  Term::Var(a.arity() + right)));
   }
-  // Fused cross-product + equality selection: each candidate pair is widened
+  // Fused cross product + equality selection: each candidate pair is widened
   // and conjoined with every join-equality atom in one step, so candidates
-  // that fail the join never materialize as intermediates. Every path
-  // enumerates the fused candidates in row-major order; the index only
-  // removes pairs with provably disjoint joined-column bounds, keeping the
-  // output bit-identical to the full product's.
-  const int arity = a.arity() + b.arity();
+  // that fail the join never materialize as intermediates.
+  InputTuples in_a(a);
+  InputTuples in_b(b);
+  CandidatePairs pairs(a, b, column_pairs);
   GeneralizedRelation out(arity);
-  if (a.is_paged() || b.is_paged()) {
-    // Streaming variant: same fused candidates, same paths and enumeration
-    // orders as the resident code below; widening happens per candidate
-    // instead of through the wide_a precompute (the conjunction is the
-    // same, so canonical outputs are bit-identical).
-    if (a.IsEmpty() || b.IsEmpty()) return out;
-    std::vector<int> a_map(a.arity());
-    for (int i = 0; i < a.arity(); ++i) a_map[i] = i;
-    std::vector<int> b_map(b.arity());
-    for (int i = 0; i < b.arity(); ++i) b_map[i] = a.arity() + i;
-    InputTuples in_a(a);
-    InputTuples in_b(b);
-    auto make_candidate = [&](size_t i, size_t j) {
-      GeneralizedTuple candidate = in_a.Get(i).Reindexed(a_map, arity)
-                                       .Conjoin(in_b.Get(j).Reindexed(
-                                           b_map, arity));
-      for (const DenseAtom& atom : eq_atoms) candidate.AddAtom(atom);
-      return candidate;
-    };
-    const size_t nb = in_b.size();
-    const size_t total = in_a.size() * nb;
-    EvalCounters::AddPairsConsidered(total);
-    if (column_pairs.empty() || total < kIndexMinPairs) {
-      out.AddTuplesParallel(total, [&](size_t k) {
-        return make_candidate(k / nb, k % nb);
-      });
-      return out;
-    }
-    if (ShardedJoinApplies(a, b, total)) {
-      ShardedJoinInto(&out, a, b, column_pairs, [&](size_t i, size_t j) {
-        return make_candidate(i, j);
-      });
-      return out;
-    }
-    const RelationIndex& index = b.Index();
-    const int probe_left = column_pairs.front().first;
-    const int probe_right = column_pairs.front().second;
-    const ColumnIntervalIndex* intervals = index.IntervalIndex(probe_right);
-    auto probe_start = std::chrono::steady_clock::now();
-    std::vector<std::pair<size_t, size_t>> pairs;
-    std::vector<size_t> window;
-    GuardTicker ticker(CurrentQueryGuard(), GuardSite::kAlgebraMaterialize);
-    for (size_t i = 0; i < in_a.size(); ++i) {
-      if (!ticker.Tick()) break;
-      const TupleSignature& sa = in_a.Signature(i);
-      window.clear();
-      intervals->AppendCandidates(sa.columns[probe_left], &window);
-      std::sort(window.begin(), window.end());
-      for (size_t j : window) {
-        const TupleSignature& sb = index.signature(j);
-        bool compatible = true;
-        for (const auto& [left, right] : column_pairs) {
-          if (!BoundsMayOverlap(sa.columns[left], sb.columns[right])) {
-            compatible = false;
-            break;
-          }
-        }
-        if (compatible) pairs.emplace_back(i, j);
-      }
-    }
-    EvalCounters::AddIndexProbes(in_a.size(), ElapsedNs(probe_start));
-    EvalCounters::AddPairsPruned(total - pairs.size());
-    out.AddTuplesParallel(pairs.size(), [&](size_t k) {
-      return make_candidate(pairs[k].first, pairs[k].second);
-    });
-    return out;
-  }
-  const std::vector<GeneralizedTuple>& ta = a.tuples();
-  const std::vector<GeneralizedTuple>& tb = b.tuples();
-  if (ta.empty() || tb.empty()) return out;
-  std::vector<int> a_map(a.arity());
-  for (int i = 0; i < a.arity(); ++i) a_map[i] = i;
-  std::vector<int> b_map(b.arity());
-  for (int i = 0; i < b.arity(); ++i) b_map[i] = a.arity() + i;
-  std::vector<GeneralizedTuple> wide_a;
-  wide_a.reserve(ta.size());
-  for (const GeneralizedTuple& tuple : ta) {
-    wide_a.push_back(tuple.Reindexed(a_map, arity));
-  }
-  auto make_candidate = [&](size_t i, size_t j) {
-    GeneralizedTuple candidate =
-        wide_a[i].Conjoin(tb[j].Reindexed(b_map, arity));
+  out.AddTuplesParallel(pairs.size(), [&](size_t k) {
+    const auto [i, j] = pairs[k];
+    GeneralizedTuple candidate = in_a.Get(i).Reindexed(a_map, arity).Conjoin(
+        in_b.Get(j).Reindexed(b_map, arity));
     for (const DenseAtom& atom : eq_atoms) candidate.AddAtom(atom);
     return candidate;
-  };
-  const size_t total = ta.size() * tb.size();
-  EvalCounters::AddPairsConsidered(total);
-  if (column_pairs.empty() || total < kIndexMinPairs) {
-    out.AddTuplesParallel(total, [&](size_t k) {
-      return make_candidate(k / tb.size(), k % tb.size());
-    });
-    return out;
-  }
-  if (ShardedJoinApplies(a, b, total)) {
-    // Sharded path; the per-pair test spans exactly the joined column
-    // pairs, as in the flat indexed path below.
-    ShardedJoinInto(&out, a, b, column_pairs, [&](size_t i, size_t j) {
-      return make_candidate(i, j);
-    });
-    return out;
-  }
-  // Indexed path: a pair survives only if, for every joined column pair,
-  // the left column's bounds (in a) and the right column's bounds (in b)
-  // can agree on a value — the join forces them equal, so disjoint bounds
-  // mean an unsatisfiable candidate.
-  const RelationIndex& index = b.Index();
-  const int probe_left = column_pairs.front().first;
-  const int probe_right = column_pairs.front().second;
-  const ColumnIntervalIndex* intervals = index.IntervalIndex(probe_right);
-  auto probe_start = std::chrono::steady_clock::now();
-  std::vector<std::pair<size_t, size_t>> pairs;
-  std::vector<size_t> window;
-  GuardTicker ticker(CurrentQueryGuard(), GuardSite::kAlgebraMaterialize);
-  for (size_t i = 0; i < ta.size(); ++i) {
-    if (!ticker.Tick()) break;
-    const TupleSignature& sa = ta[i].CachedSignature();
-    window.clear();
-    intervals->AppendCandidates(sa.columns[probe_left], &window);
-    std::sort(window.begin(), window.end());
-    for (size_t j : window) {
-      const TupleSignature& sb = index.signature(j);
-      bool compatible = true;
-      for (const auto& [left, right] : column_pairs) {
-        if (!BoundsMayOverlap(sa.columns[left], sb.columns[right])) {
-          compatible = false;
-          break;
-        }
-      }
-      if (compatible) pairs.emplace_back(i, j);
-    }
-  }
-  EvalCounters::AddIndexProbes(ta.size(), ElapsedNs(probe_start));
-  EvalCounters::AddPairsPruned(total - pairs.size());
-  out.AddTuplesParallel(pairs.size(), [&](size_t k) {
-    return make_candidate(pairs[k].first, pairs[k].second);
   });
   return out;
 }
 
 GeneralizedRelation Select(const GeneralizedRelation& rel,
                            const DenseAtom& atom) {
+  InputTuples in(rel);
   GeneralizedRelation out(rel.arity());
-  if (rel.is_paged()) {
-    InputTuples in(rel);
-    out.AddTuplesParallel(in.size(), [&](size_t i) {
-      GeneralizedTuple selected = in.Get(i);
-      selected.AddAtom(atom);
-      return selected;
-    });
-    return out;
-  }
-  const std::vector<GeneralizedTuple>& tuples = rel.tuples();
-  out.AddTuplesParallel(tuples.size(), [&](size_t i) {
-    GeneralizedTuple selected = tuples[i];
+  out.AddTuplesParallel(in.size(), [&](size_t i) {
+    GeneralizedTuple selected = in.Get(i);
     selected.AddAtom(atom);
     return selected;
   });
@@ -870,16 +502,9 @@ GeneralizedRelation Rename(const GeneralizedRelation& rel,
     });
     return out;
   }
-  if (rel.is_paged()) {
-    InputTuples in(rel);
-    out.AddTuplesParallel(in.size(), [&](size_t i) {
-      return in.Get(i).Reindexed(mapping, new_arity);
-    });
-    return out;
-  }
-  const std::vector<GeneralizedTuple>& tuples = rel.tuples();
-  out.AddTuplesParallel(tuples.size(), [&](size_t i) {
-    return tuples[i].Reindexed(mapping, new_arity);
+  InputTuples in(rel);
+  out.AddTuplesParallel(in.size(), [&](size_t i) {
+    return in.Get(i).Reindexed(mapping, new_arity);
   });
   return out;
 }

@@ -42,7 +42,7 @@ GeneralizedRelation ComplementViaCells(const GeneralizedRelation& rel);
 GeneralizedRelation Difference(const GeneralizedRelation& a,
                                const GeneralizedRelation& b);
 
-/// a × b: columns of a then columns of b.
+/// a × b: columns of a then columns of b (EquiJoin with no column pairs).
 GeneralizedRelation CrossProduct(const GeneralizedRelation& a,
                                  const GeneralizedRelation& b);
 

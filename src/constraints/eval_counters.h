@@ -22,7 +22,8 @@ struct EvalCounterSnapshot {
   uint64_t shard_pairs_considered = 0;  // shard pairs examined by joins
   uint64_t shard_pairs_pruned = 0;      // shard pairs skipped: covers disjoint
   uint64_t shard_index_builds = 0;      // shard structure + per-shard indexes
-  uint64_t planner_reorders = 0;        // join-order / side-pick deviations
+  uint64_t planner_reorders = 0;        // conjunction folds FoEvaluator
+                                        // reordered smallest-first
   uint64_t closure_memo_hits = 0;       // canonicalizations served from memo
   uint64_t guard_checkpoints = 0;       // query-guard checkpoints recorded
   uint64_t guard_trips = 0;             // queries aborted by the guard

@@ -22,7 +22,8 @@ namespace dodb {
 ///
 /// Implementations live in src/storage (record stores + buffer pool); this
 /// abstract face keeps constraints/ free of a storage dependency.
-/// FetchRun must be thread-safe: shard-pair jobs fetch runs concurrently.
+/// FetchRun must be thread-safe: AddTuplesParallel workers fetch runs
+/// concurrently.
 class PagedTupleSource {
  public:
   virtual ~PagedTupleSource() = default;

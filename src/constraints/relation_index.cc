@@ -92,24 +92,6 @@ const ColumnIntervalIndex* RelationIndex::IntervalIndex(int column) const {
   return intervals_[column].get();
 }
 
-int RelationIndex::ProbeColumn(int arity) const {
-  if (arity <= 0 || signatures_.empty()) return 0;
-  int best = 0;
-  size_t best_count = 0;
-  for (int column = 0; column < arity; ++column) {
-    size_t count = 0;
-    for (const TupleSignature& signature : signatures_) {
-      const ColumnBound& bound = signature.columns[column];
-      if (bound.has_lower || bound.has_upper) ++count;
-    }
-    if (count > best_count) {
-      best = column;
-      best_count = count;
-    }
-  }
-  return best;
-}
-
 RelationIndex RelationIndex::Build(
     const std::vector<GeneralizedTuple>& tuples) {
   RelationIndex index;
@@ -140,7 +122,7 @@ void RelationIndex::EraseAt(size_t pos) {
   auto it = hash_counts_.find(signatures_[pos].hash);
   DODB_CHECK(it != hash_counts_.end() && it->second > 0);
   if (--it->second == 0) hash_counts_.erase(it);
-  if (shards_) shards_->EraseAt(pos, signatures_[pos].hash);
+  if (shards_) shards_->EraseAt(pos);
   signatures_.erase(signatures_.begin() + pos);
   InvalidateIntervals();
 }
@@ -285,25 +267,6 @@ void ColumnIntervalIndex::AppendCandidates(const ColumnBound& probe,
   for (auto it = by_lower_.begin(); it != end; ++it) {
     if (BoundsMayOverlap(probe, *it->bound)) out->push_back(it->pos);
   }
-}
-
-int ChooseProbeColumn(const std::vector<const TupleSignature*>& signatures,
-                      int arity) {
-  if (arity <= 0 || signatures.empty()) return 0;
-  int best = 0;
-  size_t best_count = 0;
-  for (int column = 0; column < arity; ++column) {
-    size_t count = 0;
-    for (const TupleSignature* signature : signatures) {
-      const ColumnBound& bound = signature->columns[column];
-      if (bound.has_lower || bound.has_upper) ++count;
-    }
-    if (count > best_count) {
-      best = column;
-      best_count = count;
-    }
-  }
-  return best;
 }
 
 }  // namespace dodb

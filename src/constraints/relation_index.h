@@ -83,11 +83,6 @@ class RelationIndex {
   /// valid until the next mutation.
   const ColumnIntervalIndex* IntervalIndex(int column) const;
 
-  /// Deterministic probe-column heuristic over the stored signatures: the
-  /// column (of `arity`) with the most bounded entries, ties to the lowest
-  /// index — where interval windowing discriminates best.
-  int ProbeColumn(int arity) const;
-
   /// The signature-bound shard partition of the indexed tuples (see
   /// relation_shards.h), built lazily on first use and thereafter maintained
   /// incrementally by InsertAt/EraseAt (copies carry it); dropped (and
@@ -121,9 +116,9 @@ class RelationIndex {
   mutable std::unique_ptr<RelationShards> shards_;
 };
 
-/// Probe-side sorted-endpoint index over one column of a tuple list, built
-/// per join/intersect call on the build side (the smaller role): entries
-/// sorted by lower bound, unbounded-below entries first. A probe interval
+/// Sorted-endpoint index over one column of a tuple list, cached on the
+/// probed side of a join (a whole relation or one shard): entries sorted
+/// by lower bound, unbounded-below entries first. A probe interval
 /// [l, u] binary-searches the prefix of entries whose lower bound can sit
 /// under u, then filters that window by upper-vs-l — output-sensitive on
 /// workloads whose tuples are constant-separated (points, scattered
@@ -151,13 +146,6 @@ class ColumnIntervalIndex {
   int column_;
   std::vector<Entry> by_lower_;  // sorted: unbounded-below first, then lower
 };
-
-/// Deterministic probe-column heuristic: the column with the most bounded
-/// entries across `signatures` (ties to the lowest index), i.e. the column
-/// where interval windowing discriminates best. Returns 0 for arity 0 /
-/// empty input.
-int ChooseProbeColumn(const std::vector<const TupleSignature*>& signatures,
-                      int arity);
 
 }  // namespace dodb
 

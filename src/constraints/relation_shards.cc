@@ -105,7 +105,6 @@ uint32_t RelationShards::ShardFor(const TupleSignature& signature) const {
 void RelationShards::Absorb(uint32_t shard, const TupleSignature& signature) {
   ShardStats& stats = stats_[shard];
   ++stats.size;
-  ++stats.hashes[signature.hash];
   if (!stats.cover_seeded) {
     stats.cover = signature;  // hull of one box is the box itself
     stats.cover.hash = 0;     // covers are boxes, not tuples
@@ -126,15 +125,12 @@ void RelationShards::InsertAt(size_t pos, const TupleSignature& signature) {
   InvalidateCaches();
 }
 
-void RelationShards::EraseAt(size_t pos, size_t hash) {
+void RelationShards::EraseAt(size_t pos) {
   DODB_CHECK(pos < shard_of_.size());
   ShardStats& stats = stats_[shard_of_[pos]];
   shard_of_.erase(shard_of_.begin() + pos);
   DODB_CHECK(stats.size > 0);
   --stats.size;
-  auto it = stats.hashes.find(hash);
-  DODB_CHECK(it != stats.hashes.end() && it->second > 0);
-  if (--it->second == 0) stats.hashes.erase(it);
   // The cover stays as-is: it only widens, and a cover wider than the exact
   // member hull is still a sound overlap filter.
   InvalidateCaches();
@@ -196,13 +192,11 @@ bool RelationShards::SoundFor(
     const std::vector<TupleSignature>& signatures) const {
   if (signatures.size() != shard_of_.size()) return false;
   std::vector<size_t> sizes(stats_.size(), 0);
-  std::vector<std::unordered_map<size_t, uint32_t>> hashes(stats_.size());
   for (size_t pos = 0; pos < signatures.size(); ++pos) {
     uint32_t shard = shard_of_[pos];
     if (shard >= stats_.size()) return false;
     if (ShardFor(signatures[pos]) != shard) return false;
     ++sizes[shard];
-    ++hashes[shard][signatures[pos].hash];
     const ShardStats& stats = stats_[shard];
     if (!stats.cover_seeded) return false;
     if (stats.cover.columns.size() != signatures[pos].columns.size()) {
@@ -216,7 +210,6 @@ bool RelationShards::SoundFor(
   }
   for (uint32_t shard = 0; shard < stats_.size(); ++shard) {
     if (sizes[shard] != stats_[shard].size) return false;
-    if (hashes[shard] != stats_[shard].hashes) return false;
   }
   return true;
 }

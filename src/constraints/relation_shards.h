@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "constraints/relation_index.h"
@@ -26,11 +25,9 @@ namespace dodb {
 ///     are disjoint on some column cannot contain an overlapping tuple pair,
 ///     so joins and subsumption scans skip whole shards instead of testing
 ///     tuple pairs one by one;
-///   - per-shard parallelism: surviving shard pairs are independent units of
-///     work dispatched to the thread pool (see algebra/relational_ops);
-///   - planner statistics: per-shard cardinality, cover spread and distinct
-///     canonical-hash counts double as the histogram the join planner reads
-///     (algebra/join_planner).
+///   - per-shard probes: members of a surviving shard pair probe a lazy
+///     per-shard interval index instead of the whole relation's (see the
+///     join enumerator in algebra/relational_ops).
 ///
 /// Determinism: pruning by covers is a strict superset filter of the
 /// per-pair signature test (a member box is contained in its shard's cover,
@@ -70,9 +67,8 @@ class RelationShards {
 
   /// Mirror of tuples.insert(tuples.begin() + pos, tuple).
   void InsertAt(size_t pos, const TupleSignature& signature);
-  /// Mirror of tuples.erase(tuples.begin() + pos); `hash` is the erased
-  /// tuple's canonical-form hash (read before the erase).
-  void EraseAt(size_t pos, size_t hash);
+  /// Mirror of tuples.erase(tuples.begin() + pos).
+  void EraseAt(size_t pos);
 
   size_t shard_count() const { return stats_.size(); }
   size_t tuple_count() const { return shard_of_.size(); }
@@ -83,9 +79,6 @@ class RelationShards {
     size_t size = 0;           // current member count
     bool cover_seeded = false; // false while the shard has never had a member
     TupleSignature cover;      // widen-only hull of member signatures
-    // Canonical-hash multiset of the members; .size() approximates the
-    // shard's distinct-tuple count for the planner.
-    std::unordered_map<size_t, uint32_t> hashes;
   };
   const ShardStats& stats(uint32_t shard) const { return stats_[shard]; }
 
@@ -111,8 +104,8 @@ class RelationShards {
 
   /// Test hook: internal consistency against the signature vector the
   /// sharding claims to mirror — assignment matches the cut function,
-  /// per-shard sizes and hash multisets match a recount, and every member's
-  /// box is contained in its shard's cover.
+  /// per-shard sizes match a recount, and every member's box is contained
+  /// in its shard's cover.
   bool SoundFor(const std::vector<TupleSignature>& signatures) const;
 
  private:

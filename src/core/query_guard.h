@@ -40,7 +40,7 @@ struct GuardLimits {
 /// report which site tripped first.
 enum class GuardSite {
   kAlgebraMaterialize = 0,  // candidate canonicalize/merge in AddTuplesParallel
-  kShardJoin,               // shard-pair jobs in algebra::ShardedJoinInto
+  kShardJoin,               // per-shard probes in the join enumerator
   kClosureSweep,            // PC-1 sweep iterations in OrderGraph::Close
   kQuantifierElim,          // per-tuple variable elimination in dense_qe
   kFoStep,                  // per-operator size check in FoEvaluator

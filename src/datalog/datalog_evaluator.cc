@@ -157,8 +157,8 @@ static void WarmRelationCaches(const GeneralizedRelation& rel) {
     tuple.IsSatisfiable();
     tuple.CachedSignature();
   }
-  // Fault in the shard partition too, so concurrent shard-pair jobs read a
-  // warm structure instead of serializing on the lazy-build mutex.
+  // Fault in the shard partition too, so concurrent rule jobs read a warm
+  // structure instead of serializing on the lazy-build mutex.
   rel.Index().Shards();
 }
 

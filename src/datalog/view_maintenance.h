@@ -27,7 +27,7 @@ namespace dodb {
 ///
 ///   - inserts fire the program's delta rules semi-naively from the changed
 ///     tuples only (base-relation occurrences first, then derived deltas),
-///     reusing the shard-pair job fan-out and a per-view closure memo that
+///     reusing the parallel join kernel and a per-view closure memo that
 ///     persists across maintenance passes;
 ///   - deletes run DRed-style over the per-tuple support masks: a wave of
 ///     delta-restricted firings against the pre-delete snapshot clears the

@@ -24,7 +24,6 @@
 ///   txn/          MVCC transactions: snapshot isolation, write-set
 ///                 validation, atomic commit record groups
 
-#include "algebra/join_planner.h"
 #include "algebra/relational_ops.h"
 #include "cells/cell.h"
 #include "cells/cell_decomposition.h"

@@ -1,8 +1,8 @@
 #include "fo/evaluator.h"
 
 #include <algorithm>
+#include <numeric>
 
-#include "algebra/join_planner.h"
 #include "algebra/relational_ops.h"
 #include "constraints/closure_cache.h"
 #include "constraints/dense_qe.h"
@@ -263,21 +263,19 @@ Result<FoEvaluator::Binding> FoEvaluator::EvalAndChain(
   // order-independent (each output tuple is the unique canonical form of
   // one conjunction of inputs, pruned to the maximal ones), so reordering
   // changes wall-clock only; a deviation from the syntactic order is
-  // recorded as a planner reorder.
+  // counted in planner_reorders.
   std::vector<GeneralizedRelation> aligned;
   aligned.reserve(parts.size());
-  std::vector<size_t> sizes;
-  sizes.reserve(parts.size());
   for (const Binding& part : parts) {
     aligned.push_back(AlignTo(part, joint).rel);
-    sizes.push_back(aligned.back().tuple_count());
   }
-  std::vector<size_t> order = algebra::OrderByAscendingTuples(sizes);
-  for (size_t k = 0; k < order.size(); ++k) {
-    if (order[k] != k) {
-      EvalCounters::AddPlannerReorders(1);
-      break;
-    }
+  std::vector<size_t> order(aligned.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    return aligned[x].tuple_count() < aligned[y].tuple_count();
+  });
+  if (!std::is_sorted(order.begin(), order.end())) {
+    EvalCounters::AddPlannerReorders(1);
   }
   GeneralizedRelation combined = std::move(aligned[order[0]]);
   for (size_t k = 1; k < order.size(); ++k) {

@@ -132,8 +132,8 @@ class FoEvaluator {
 
   Result<Binding> Eval(const Formula& formula);
   /// Flattened conjunction chain: evaluates every conjunct, aligns all of
-  /// them to the joint column list, and folds Intersect in the planner's
-  /// ascending-cardinality order (smallest inputs first). Canonical-set
+  /// them to the joint column list, and folds Intersect in ascending
+  /// cardinality order (smallest inputs first, stable on ties). Canonical-set
   /// intersection is order-independent, so the result is bit-identical to
   /// the left-to-right binary fold.
   Result<Binding> EvalAndChain(const std::vector<const Formula*>& conjuncts);

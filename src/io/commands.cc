@@ -44,6 +44,54 @@ bool IsIdentifier(std::string_view word) {
   return true;
 }
 
+// A command split by the DML grammar (see ExecuteCommand): its verb, the
+// relation it names, and what follows the name — the "<arity>" inside
+// create's parentheses, insert's formula, delete's "where <formula>".
+struct CommandParts {
+  std::string_view verb;
+  std::string name;
+  std::string_view rest;
+};
+
+Result<CommandParts> SplitCommand(std::string_view text) {
+  std::string_view rest = StripWhitespace(text);
+  if (!rest.empty() && rest.back() == ';') rest.remove_suffix(1);
+  CommandParts parts;
+  parts.verb = NextWord(&rest);
+  if (parts.verb == "create") {
+    // create <name>(<arity>)
+    size_t paren = rest.find('(');
+    size_t close = rest.rfind(')');
+    if (paren == std::string_view::npos || close == std::string_view::npos ||
+        close < paren) {
+      return Status::ParseError("usage: create <name>(<arity>)");
+    }
+    parts.name = std::string(StripWhitespace(rest.substr(0, paren)));
+    parts.rest = rest.substr(paren + 1, close - paren - 1);
+  } else if (parts.verb == "drop") {
+    parts.name = std::string(rest);
+  } else if (parts.verb == "insert") {
+    // insert into <name> <formula>
+    if (NextWord(&rest) != "into") {
+      return Status::ParseError("usage: insert into <name> <formula>");
+    }
+    parts.name = std::string(NextWord(&rest));
+    parts.rest = rest;
+  } else if (parts.verb == "delete") {
+    // delete from <name> where <formula>
+    if (NextWord(&rest) != "from") {
+      return Status::ParseError("usage: delete from <name> where <formula>");
+    }
+    parts.name = std::string(NextWord(&rest));
+    parts.rest = rest;
+  } else {
+    return Status::ParseError(
+        StrCat("unknown command '", parts.verb,
+               "' (expected create/drop/insert/delete)"));
+  }
+  return parts;
+}
+
 // Evaluates `formula_text` over the columns x0..x(arity-1) of `db`.
 Result<GeneralizedRelation> EvalCondition(const Database& db, int arity,
                                           std::string_view formula_text) {
@@ -90,20 +138,12 @@ std::string MaintainViews(ViewRegistry* views, const BaseDelta& delta,
 }
 
 Result<std::string> Create(Database* db, storage::StorageEngine* engine,
-                           TxnBuffer* buffer, std::string_view rest) {
-  // create <name>(<arity>)
-  size_t paren = rest.find('(');
-  size_t close = rest.rfind(')');
-  if (paren == std::string_view::npos || close == std::string_view::npos ||
-      close < paren) {
-    return Status::ParseError("usage: create <name>(<arity>)");
-  }
-  std::string name(StripWhitespace(rest.substr(0, paren)));
+                           TxnBuffer* buffer, const std::string& name,
+                           std::string_view arity_text) {
   if (!IsIdentifier(name)) {
     return Status::ParseError(StrCat("bad relation name '", name, "'"));
   }
-  Result<Rational> arity = Rational::FromString(
-      rest.substr(paren + 1, close - paren - 1));
+  Result<Rational> arity = Rational::FromString(arity_text);
   if (!arity.ok() || !arity.value().is_integer() ||
       arity.value() < Rational(0) || arity.value() > Rational(16)) {
     return Status::ParseError("arity must be an integer in 0..16");
@@ -128,8 +168,7 @@ Result<std::string> Create(Database* db, storage::StorageEngine* engine,
 
 Result<std::string> Drop(Database* db, storage::StorageEngine* engine,
                          ViewRegistry* views, TxnBuffer* buffer,
-                         std::string_view rest) {
-  std::string name(StripWhitespace(rest));
+                         const std::string& name) {
   if (!db->HasRelation(name)) {
     return Status::NotFound(StrCat("no relation '", name, "'"));
   }
@@ -158,13 +197,7 @@ Result<std::string> Drop(Database* db, storage::StorageEngine* engine,
 
 Result<std::string> Insert(Database* db, storage::StorageEngine* engine,
                            ViewRegistry* views, TxnBuffer* buffer,
-                           std::string_view rest) {
-  // insert into <name> <formula>
-  std::string_view into = NextWord(&rest);
-  if (into != "into") {
-    return Status::ParseError("usage: insert into <name> <formula>");
-  }
-  std::string name(NextWord(&rest));
+                           const std::string& name, std::string_view rest) {
   const GeneralizedRelation* rel = db->FindRelation(name);
   if (rel == nullptr) {
     return Status::NotFound(StrCat("no relation '", name, "'"));
@@ -227,13 +260,7 @@ Result<std::string> Insert(Database* db, storage::StorageEngine* engine,
 
 Result<std::string> Delete(Database* db, storage::StorageEngine* engine,
                            ViewRegistry* views, TxnBuffer* buffer,
-                           std::string_view rest) {
-  // delete from <name> where <formula>
-  std::string_view from = NextWord(&rest);
-  if (from != "from") {
-    return Status::ParseError("usage: delete from <name> where <formula>");
-  }
-  std::string name(NextWord(&rest));
+                           const std::string& name, std::string_view rest) {
   const GeneralizedRelation* rel = db->FindRelation(name);
   if (rel == nullptr) {
     return Status::NotFound(StrCat("no relation '", name, "'"));
@@ -294,19 +321,21 @@ Result<std::string> Dispatch(Database* db, std::string_view text,
                              storage::StorageEngine* engine,
                              ViewRegistry* views, TxnBuffer* buffer) {
   DODB_CHECK(db != nullptr);
-  std::string_view rest = StripWhitespace(text);
-  if (!rest.empty() && rest.back() == ';') rest.remove_suffix(1);
-  std::string_view verb = NextWord(&rest);
-  if (verb == "create") return Create(db, engine, buffer, rest);
-  if (verb == "drop") return Drop(db, engine, views, buffer, rest);
-  if (verb == "insert") return Insert(db, engine, views, buffer, rest);
-  if (verb == "delete") return Delete(db, engine, views, buffer, rest);
-  return Status::ParseError(
-      StrCat("unknown command '", verb,
-             "' (expected create/drop/insert/delete)"));
+  Result<CommandParts> parts = SplitCommand(text);
+  if (!parts.ok()) return parts.status();
+  const auto& [verb, name, rest] = parts.value();
+  if (verb == "create") return Create(db, engine, buffer, name, rest);
+  if (verb == "drop") return Drop(db, engine, views, buffer, name);
+  if (verb == "insert") return Insert(db, engine, views, buffer, name, rest);
+  return Delete(db, engine, views, buffer, name, rest);
 }
 
 }  // namespace
+
+std::string CommandTarget(std::string_view text) {
+  Result<CommandParts> parts = SplitCommand(text);
+  return parts.ok() ? parts.value().name : std::string();
+}
 
 Result<std::string> ExecuteCommand(Database* db, std::string_view text) {
   return ExecuteCommand(db, text, nullptr, nullptr);

@@ -33,6 +33,11 @@ struct BaseDelta;
 /// infinite sets, in closed form). Returns a one-line human summary.
 Result<std::string> ExecuteCommand(Database* db, std::string_view text);
 
+/// The relation a create/drop/insert/delete command names, split off by
+/// the same grammar ExecuteCommand parses with; "" when the text does not
+/// parse that far (ExecuteCommand rejects such text).
+std::string CommandTarget(std::string_view text);
+
 /// ExecuteCommand with write-ahead logging: when `engine` is non-null, the
 /// logical operation is logged durably BEFORE the in-memory catalog mutates
 /// (storage/storage_engine.h's discipline). A logging failure aborts the

@@ -37,7 +37,8 @@ inline constexpr size_t kPageSize = 4096;
 /// files are ephemeral caches — the snapshot + WAL remain the source of
 /// truth — so recovery after such a crash is ordinary WAL replay.
 ///
-/// All methods are thread-safe; shard-pair pool jobs fetch concurrently.
+/// All methods are thread-safe; AddTuplesParallel workers fetch
+/// concurrently.
 /// When every frame is pinned the pool allocates past its cap rather than
 /// deadlock (capacity is a target, pins are correctness).
 class BufferPool {

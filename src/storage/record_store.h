@@ -20,7 +20,8 @@ namespace storage {
 /// which backend serves them is the per-relation storage choice surfaced by
 /// the shell.
 ///
-/// Implementations must be thread-safe: shard-pair jobs Get concurrently.
+/// Implementations must be thread-safe: AddTuplesParallel workers Get
+/// concurrently.
 class RecordStore {
  public:
   virtual ~RecordStore() = default;

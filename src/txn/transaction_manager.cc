@@ -1,6 +1,5 @@
 #include "txn/transaction_manager.h"
 
-#include <cctype>
 #include <utility>
 
 #include "algebra/relational_ops.h"
@@ -28,42 +27,6 @@ void WarmRelation(GeneralizedRelation* rel) {
     OrderGraph* graph = tuple.CachedGraph();
     if (graph != nullptr) graph->Close();
   }
-}
-
-// The relation a create/drop/insert/delete command targets, parsed with the
-// command layer's own grammar; "" when the text doesn't parse (the caller
-// then conservatively treats the whole catalog as changed).
-std::string TargetRelationName(std::string_view text) {
-  std::string_view rest = StripWhitespace(text);
-  if (!rest.empty() && rest.back() == ';') rest.remove_suffix(1);
-  auto next_word = [&rest]() {
-    rest = StripWhitespace(rest);
-    size_t end = 0;
-    while (end < rest.size() &&
-           !std::isspace(static_cast<unsigned char>(rest[end]))) {
-      ++end;
-    }
-    std::string_view word = rest.substr(0, end);
-    rest.remove_prefix(end);
-    rest = StripWhitespace(rest);
-    return word;
-  };
-  std::string_view verb = next_word();
-  if (verb == "create") {
-    size_t paren = rest.find('(');
-    if (paren == std::string_view::npos) return "";
-    return std::string(StripWhitespace(rest.substr(0, paren)));
-  }
-  if (verb == "drop") return std::string(StripWhitespace(rest));
-  if (verb == "insert") {
-    if (next_word() != "into") return "";
-    return std::string(next_word());
-  }
-  if (verb == "delete") {
-    if (next_word() != "from") return "";
-    return std::string(next_word());
-  }
-  return "";
 }
 
 }  // namespace
@@ -113,18 +76,11 @@ Result<std::string> TransactionManager::ExecuteBuffered(
 
 Result<std::string> TransactionManager::AutoCommit(std::string_view text) {
   std::lock_guard<std::mutex> wlock(write_mu_);
-  std::string target = TargetRelationName(text);
   Result<std::string> result = ExecuteCommand(db_, text, engine_, views_);
   if (!result.ok()) return result;
-  std::set<std::string> changed;
-  if (!target.empty()) {
-    changed.insert(target);
-  } else {
-    // Unparseable-but-accepted command (shouldn't happen; the grammars
-    // agree): treat the whole catalog as changed rather than risk a stale
-    // snapshot or a missed conflict.
-    for (const std::string& name : db_->RelationNames()) changed.insert(name);
-  }
+  // An accepted command named an existing (or, for create, a valid)
+  // relation, so the shared grammar's target is never empty here.
+  std::set<std::string> changed = {CommandTarget(text)};
   PublishLocked(generation_ + 1, changed,
                 NextSnapshotLocked(WithDependentViews(changed)));
   return result;

@@ -2,11 +2,12 @@
 // paged record store's page-chain + CRC contract, and the differential
 // guarantee of spilled relations — every algebra, Datalog and
 // view-maintenance result over them is bit-identical to the resident run,
-// at every thread count and at any cache size, because the paged branches
-// replay the exact resident enumeration orders.
+// at every thread count and at any cache size, because every operator runs
+// one body over both storage forms.
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "algebra/relational_ops.h"
 #include "bench/workloads.h"
 #include "constraints/eval_counters.h"
+#include "constraints/relation_shards.h"
 #include "core/fault_injection.h"
 #include "core/query_guard.h"
 #include "core/thread_pool.h"
@@ -280,20 +282,21 @@ TEST(RelationPagerTest, MemoryBackendSpillsWithoutAFile) {
 // ---------------------------------------------------------------------------
 // The differential contract: paged in, resident out, bit-identical.
 
+// Every operator runs one body over resident and paged inputs; the sizes
+// straddle the join enumerator's strategy thresholds: 3x4 = 12 pairs stay
+// below 16 (all pairs), 12x12 = 144 below 256 (the flat probe), and the
+// 64/48-tuple relations hold several shards each (shard pairs).
 TEST(PagedDifferentialTest, AlgebraMatchesResidentAcrossThreads) {
-  GeneralizedRelation a = bench::RandomIntervals(64, 0, 5);
-  GeneralizedRelation b = bench::RandomIntervals(64, 0, 6);
-  GeneralizedRelation ra = bench::RandomRectangles(48, 0, 7);
-  GeneralizedRelation rb = bench::RandomRectangles(48, 0, 8);
-
-  auto run_suite = [&](const GeneralizedRelation& xa,
-                       const GeneralizedRelation& xb,
-                       const GeneralizedRelation& xra,
-                       const GeneralizedRelation& xrb) {
+  auto run_suite = [](const GeneralizedRelation& xa,
+                      const GeneralizedRelation& xb,
+                      const GeneralizedRelation& xra,
+                      const GeneralizedRelation& xrb) {
     std::vector<std::string> prints;
     prints.push_back(Fingerprint(algebra::Intersect(xa, xb)));
     prints.push_back(Fingerprint(algebra::Intersect(xra, xrb)));
     prints.push_back(Fingerprint(algebra::EquiJoin(xra, xrb, {{1, 0}})));
+    prints.push_back(
+        Fingerprint(algebra::EquiJoin(xra, xrb, {{0, 1}, {1, 0}})));
     prints.push_back(Fingerprint(algebra::Difference(xa, xb)));
     prints.push_back(Fingerprint(algebra::Union(xra, xrb)));
     prints.push_back(Fingerprint(algebra::CrossProduct(xa, xb)));
@@ -301,31 +304,69 @@ TEST(PagedDifferentialTest, AlgebraMatchesResidentAcrossThreads) {
         xra, DenseAtom(Term::Var(0), RelOp::kLt,
                        Term::Const(Rational(40))))));
     prints.push_back(Fingerprint(algebra::Rename(xra, {1, 0}, 2)));
+    prints.push_back(Fingerprint(algebra::Rename(xra, {0, 0}, 1)));
     prints.push_back(Fingerprint(algebra::Complement(xa)));
     return prints;
   };
 
-  std::vector<std::string> baseline;
-  {
-    EvalThreadsScope threads(1);
-    baseline = run_suite(a, b, ra, rb);
-  }
+  enum Strategy { kAllPairs, kFlatProbe, kShardPairs };
+  struct Sizes {
+    int left;
+    int right;
+    int rect_left;
+    int rect_right;
+    Strategy strategy;
+  };
+  for (const Sizes& n :
+       {Sizes{3, 4, 3, 4, kAllPairs}, Sizes{12, 12, 12, 12, kFlatProbe},
+        Sizes{64, 64, 48, 48, kShardPairs}}) {
+    const std::string label = std::to_string(n.left) + "x" +
+                              std::to_string(n.right);
+    GeneralizedRelation a = bench::RandomIntervals(n.left, 0, 5);
+    GeneralizedRelation b = bench::RandomIntervals(n.right, 0, 6);
+    GeneralizedRelation ra = bench::RandomRectangles(n.rect_left, 0, 7);
+    GeneralizedRelation rb = bench::RandomRectangles(n.rect_right, 0, 8);
+    const size_t pairs = a.tuple_count() * b.tuple_count();
+    ASSERT_EQ(pairs < 16 ? kAllPairs : pairs < 256 ? kFlatProbe : kShardPairs,
+              n.strategy)
+        << label;
+    if (n.strategy == kShardPairs) {
+      ASSERT_GT(a.Index().Shards()->shard_count(), 1u);
+      ASSERT_GT(b.Index().Shards()->shard_count(), 1u);
+      ASSERT_GT(ra.Index().Shards()->shard_count(), 1u);
+      ASSERT_GT(rb.Index().Shards()->shard_count(), 1u);
+    }
 
-  std::unique_ptr<RelationPager> pager = RelationPager::InMemory();
-  GeneralizedRelation pa = pager->Spill(a).value();
-  GeneralizedRelation pb = pager->Spill(b).value();
-  GeneralizedRelation pra = pager->Spill(ra).value();
-  GeneralizedRelation prb = pager->Spill(rb).value();
+    std::vector<std::string> baseline;
+    {
+      EvalThreadsScope threads(1);
+      // Only the probing strategies prune pairs.
+      EvalCounterSnapshot before = EvalCounters::Snapshot();
+      algebra::Intersect(a, b);
+      EvalCounterSnapshot delta = EvalCounters::Snapshot() - before;
+      EXPECT_EQ(delta.pairs_pruned == 0, n.strategy == kAllPairs) << label;
+      baseline = run_suite(a, b, ra, rb);
+    }
 
-  for (int threads : {1, 8}) {
-    EvalThreadsScope scope(threads);
-    // Both sides paged, and mixed paged/resident (each orientation).
-    EXPECT_EQ(baseline, run_suite(pa, pb, pra, prb))
-        << "both paged, threads " << threads;
-    EXPECT_EQ(baseline, run_suite(pa, b, pra, rb))
-        << "left paged, threads " << threads;
-    EXPECT_EQ(baseline, run_suite(a, pb, ra, prb))
-        << "right paged, threads " << threads;
+    std::unique_ptr<RelationPager> pager = RelationPager::InMemory();
+    GeneralizedRelation pa = pager->Spill(a).value();
+    GeneralizedRelation pb = pager->Spill(b).value();
+    GeneralizedRelation pra = pager->Spill(ra).value();
+    GeneralizedRelation prb = pager->Spill(rb).value();
+
+    for (int threads : {1, 8}) {
+      EvalThreadsScope scope(threads);
+      // Resident at this thread count, both sides paged, and mixed
+      // paged/resident (each orientation).
+      EXPECT_EQ(baseline, run_suite(a, b, ra, rb))
+          << label << " resident, threads " << threads;
+      EXPECT_EQ(baseline, run_suite(pa, pb, pra, prb))
+          << label << " both paged, threads " << threads;
+      EXPECT_EQ(baseline, run_suite(pa, b, pra, rb))
+          << label << " left paged, threads " << threads;
+      EXPECT_EQ(baseline, run_suite(a, pb, ra, prb))
+          << label << " right paged, threads " << threads;
+    }
   }
 }
 
@@ -393,7 +434,8 @@ TEST(PagedDifferentialTest, TinyCacheStillMatchesResident) {
 }
 
 // Streaming means streaming: a join over paged inputs fetches runs but
-// never pays a full materialization.
+// never pays a full materialization, and neither does any other operator
+// reading paged inputs through the one kernel.
 TEST(PagedDifferentialTest, JoinStreamsRunsWithoutMaterializing) {
   std::unique_ptr<RelationPager> pager = RelationPager::InMemory();
   GeneralizedRelation a = bench::RandomIntervals(64, 0, 5);
@@ -406,6 +448,28 @@ TEST(PagedDifferentialTest, JoinStreamsRunsWithoutMaterializing) {
   EXPECT_FALSE(met.IsEmpty());
   EXPECT_GT(delta.paged_runs_fetched, 0u);
   EXPECT_EQ(delta.paged_materializations, 0u);
+
+  GeneralizedRelation pra =
+      pager->Spill(bench::RandomRectangles(48, 0, 7)).value();
+  GeneralizedRelation prb =
+      pager->Spill(bench::RandomRectangles(48, 0, 8)).value();
+  const DenseAtom below_40(Term::Var(0), RelOp::kLt, Term::Const(Rational(40)));
+  const std::pair<const char*, std::function<GeneralizedRelation()>> ops[] = {
+      {"EquiJoin", [&] { return algebra::EquiJoin(pra, prb, {{1, 0}}); }},
+      {"CrossProduct", [&] { return algebra::CrossProduct(pa, pb); }},
+      {"Difference", [&] { return algebra::Difference(pra, prb); }},
+      {"Select", [&] { return algebra::Select(pra, below_40); }},
+      {"Rename", [&] { return algebra::Rename(pra, {0, 0}, 1); }},
+  };
+  for (const auto& [name, op] : ops) {
+    before = EvalCounters::Snapshot();
+    GeneralizedRelation out = op();
+    delta = EvalCounters::Snapshot() - before;
+    EXPECT_FALSE(out.IsEmpty()) << name;
+    EXPECT_EQ(delta.paged_materializations, 0u) << name;
+  }
+  EXPECT_TRUE(pa.is_paged() && pb.is_paged() && pra.is_paged() &&
+              prb.is_paged());
 }
 
 TEST(PagedDifferentialTest, DatalogFixpointMatchesResident) {

@@ -22,6 +22,7 @@
 #include "datalog/datalog_evaluator.h"
 #include "datalog/datalog_parser.h"
 #include "fo/evaluator.h"
+#include "fo/parser.h"
 #include "io/database.h"
 #include "oracle.h"
 
@@ -304,6 +305,35 @@ TEST(EvalCountersTest, FoEvaluatorAttributesCounterDelta) {
   ASSERT_TRUE(evaluator.Evaluate(query).ok());
   EXPECT_GT(evaluator.stats().counters.pairs_considered, 0u);
   EXPECT_GT(evaluator.stats().counters.canonicalized, 0u);
+}
+
+// A conjunction chain folds smallest-first; written largest-first it is
+// reordered once, and the answer is the ascending order's.
+TEST(EvalCountersTest, ConjunctionChainFoldsSmallestFirst) {
+  Database db;
+  db.SetRelation("big", bench::PathGraph(16));
+  db.SetRelation("mid", bench::PathGraph(8));
+  db.SetRelation("small", bench::PathGraph(4));
+  auto run = [&db](const char* text, uint64_t* reorders) {
+    FoEvaluator evaluator(&db);
+    Result<GeneralizedRelation> answer =
+        evaluator.Evaluate(FoParser::ParseQuery(text).value());
+    EXPECT_TRUE(answer.ok()) << text;
+    *reorders = evaluator.stats().counters.planner_reorders;
+    return answer.ok() ? answer.value().ToString() : std::string();
+  };
+  uint64_t descending_reorders = 0;
+  uint64_t ascending_reorders = 0;
+  std::string descending =
+      run("{ (x, y) | big(x, y) and mid(x, y) and small(x, y) }",
+          &descending_reorders);
+  std::string ascending =
+      run("{ (x, y) | small(x, y) and mid(x, y) and big(x, y) }",
+          &ascending_reorders);
+  EXPECT_EQ(descending_reorders, 1u);
+  EXPECT_EQ(ascending_reorders, 0u);
+  EXPECT_EQ(descending, ascending);
+  EXPECT_EQ(ascending, bench::PathGraph(4).ToString());
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // operation is structurally identical at 1 and 8 threads and equal to an
 // oracle outside the engine (the operators' set-theoretic definitions at
 // every cell witness, or a closed-form answer), with relations sized so the
-// shard-pair kernels, the planner and the memo all engage.
+// shard-pair probes and the memo both engage.
 
 #include "constraints/relation_shards.h"
 
@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "algebra/join_planner.h"
 #include "algebra/relational_ops.h"
 #include "bench/workloads.h"
 #include "constraints/closure_cache.h"
@@ -129,7 +128,7 @@ TEST(RelationShardsTest, InsertEraseStaysSoundAndTriggersRebuild) {
       shards.InsertAt(pos, signatures[pos]);
     } else {
       size_t pos = rng() % signatures.size();
-      shards.EraseAt(pos, signatures[pos].hash);
+      shards.EraseAt(pos);
       signatures.erase(signatures.begin() + pos);
     }
     ASSERT_TRUE(shards.SoundFor(signatures)) << "step " << step;
@@ -178,22 +177,6 @@ TEST(RelationIndexShardTest, IndexExposesLazyShardsAndMaintainsThem) {
     ASSERT_NE(current, nullptr);
     EXPECT_EQ(current->tuple_count(), rel.tuple_count()) << "step " << step;
   }
-}
-
-TEST(JoinPlannerTest, ProfilesAndOrientationPreferSmallerEnumerationSide) {
-  GeneralizedRelation small = bench::RandomIntervals(40, 0, 3);
-  GeneralizedRelation large = bench::RandomIntervals(90, 0, 4);
-  algebra::RelationProfile ps = algebra::ProfileRelation(small);
-  algebra::RelationProfile pl = algebra::ProfileRelation(large);
-  EXPECT_EQ(ps.tuples, small.tuple_count());
-  EXPECT_EQ(pl.tuples, large.tuple_count());
-  EXPECT_GT(pl.shards, 1u);
-  EXPECT_GT(pl.distinct_hashes, 0u);
-  EXPECT_TRUE(algebra::KeepOrientation(ps, pl));
-  EXPECT_FALSE(algebra::KeepOrientation(pl, ps));
-  std::vector<size_t> order =
-      algebra::OrderByAscendingTuples({9, 3, 7, 3});
-  EXPECT_EQ(order, (std::vector<size_t>{1, 3, 2, 0}));
 }
 
 TEST(ClosureCacheTest, MemoizedCanonicalMatchesDirectComputation) {

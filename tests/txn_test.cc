@@ -189,6 +189,37 @@ TEST(TxnManagerTest, AutoCommitConflictsAnOpenTransactionOnTheSameRelation) {
   EXPECT_EQ(db.FindRelation("r0")->tuple_count(), 2u);
 }
 
+// AutoCommit learns the relation it wrote from the command grammar itself,
+// whatever the spacing: for every verb, an open transaction that wrote that
+// relation conflicts and one that wrote another relation commits.
+TEST(TxnManagerTest, AutoCommitTargetsTheRelationEveryVerbNames) {
+  struct Case {
+    const char* autocommit;
+    const char* same_relation;
+  };
+  const Case cases[] = {
+      {"  create   t9(1) ;", "create t9(1)"},
+      {"insert   into\tr0   x0 = 41 ;", "insert into r0 x0 = 42"},
+      {"  delete  from   r0   where  x0 > 100 ;", "insert into r0 x0 = 43"},
+      {"drop    r2 ;", "insert into r2 x0 = 44"},
+  };
+  for (const Case& c : cases) {
+    Database db;
+    SeedCatalog(&db);
+    TransactionManager mgr(&db, nullptr, nullptr);
+    std::unique_ptr<Transaction> same = mgr.Begin();
+    std::unique_ptr<Transaction> other = mgr.Begin();
+    ASSERT_TRUE(mgr.ExecuteBuffered(same.get(), c.same_relation).ok())
+        << c.same_relation;
+    ASSERT_TRUE(mgr.ExecuteBuffered(other.get(), "insert into r1 x0 = 50")
+                    .ok());
+    ASSERT_TRUE(mgr.AutoCommit(c.autocommit).ok()) << c.autocommit;
+    EXPECT_EQ(mgr.Commit(std::move(same)).code(), StatusCode::kTxnConflict)
+        << c.autocommit;
+    EXPECT_TRUE(mgr.Commit(std::move(other)).ok()) << c.autocommit;
+  }
+}
+
 // A Begin that observes a commit's generation must also pin that commit's
 // snapshot; otherwise it passes first-committer-wins and can overwrite the
 // commit it never saw. Warming a large relation keeps any gap between the

@@ -64,19 +64,6 @@ inline void ReportEvalCounters(benchmark::State& state,
                 static_cast<double>(delta.view_full_recomputes));
   per_iteration("view_maintenance_ms",
                 static_cast<double>(delta.view_maintenance_ns) / 1e6);
-  per_iteration("page_cache_hits",
-                static_cast<double>(delta.page_cache_hits));
-  per_iteration("page_cache_misses",
-                static_cast<double>(delta.page_cache_misses));
-  per_iteration("page_evictions", static_cast<double>(delta.page_evictions));
-  per_iteration("page_writeback_bytes",
-                static_cast<double>(delta.page_writeback_bytes));
-  per_iteration("paged_runs_fetched",
-                static_cast<double>(delta.paged_runs_fetched));
-  per_iteration("paged_spill_bytes",
-                static_cast<double>(delta.paged_spill_bytes));
-  per_iteration("paged_materializations",
-                static_cast<double>(delta.paged_materializations));
 }
 
 /// RAII: snapshot on construction, ReportEvalCounters on destruction —

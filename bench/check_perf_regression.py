@@ -18,9 +18,8 @@ edge over a from-scratch recompute is a ratio within one run, so it is
 stable even under smoke timings, and losing it means O(delta) maintenance
 degraded to O(n) regardless of how the wall-clock moved.
 
-BENCH_server.json, BENCH_paged.json and BENCH_txn.json carry analogous
-absolute gates; see server_floor_failures / paged_floor_failures /
-txn_floor_failures below.
+BENCH_server.json and BENCH_txn.json carry analogous absolute gates; see
+server_floor_failures / txn_floor_failures below.
 
 Usage:
   bench/check_perf_regression.py [--baseline REV] [--threshold PCT]
@@ -59,58 +58,6 @@ def committed_json(rev: str, path: str):
 # recompute by at least this factor.
 IVM_FILE = "BENCH_ivm.json"
 IVM_MIN_SPEEDUP = 10.0
-
-# Absolute acceptance gates for the out-of-core record (BENCH_paged.json),
-# all ratios within one run and hence stable under smoke timings:
-#   - every BM_PagedTcFixpoint row at cache_pct:100 must keep the paged
-#     fixpoint within PAGED_MAX_RATIO of its in-run resident comparator,
-#   - every row carrying an `identical` counter must report 1 (the paged
-#     path reproduced the resident result bit for bit),
-#   - at least one row must run with the working set >= 4x the page cache,
-#     or the record never demonstrates actual out-of-core operation.
-PAGED_FILE = "BENCH_paged.json"
-PAGED_MAX_RATIO = 1.15
-PAGED_MIN_WS_OVER_CACHE = 4.0
-
-
-def paged_floor_failures(rel_name: str, rows: dict) -> list:
-    """Failures of the absolute out-of-core gates (independent of baseline)."""
-    failures = []
-    max_ws_over_cache = 0.0
-    full_cache_rows = 0
-    for name, row in sorted(rows.items()):
-        identical = row.get("identical")
-        if identical is not None and identical != 1:
-            failures.append(
-                f"{rel_name}: {name}: paged result diverged from resident "
-                f"(identical = {identical})")
-        ws_over_cache = row.get("ws_over_cache")
-        if ws_over_cache is not None:
-            max_ws_over_cache = max(max_ws_over_cache, ws_over_cache)
-        if not name.startswith("BM_PagedTcFixpoint"):
-            continue
-        if not name.endswith("/cache_pct:100"):
-            continue
-        full_cache_rows += 1
-        ratio = row.get("paged_vs_resident_ratio")
-        if ratio is None:
-            failures.append(
-                f"{rel_name}: {name}: missing paged_vs_resident_ratio counter")
-        elif ratio > PAGED_MAX_RATIO:
-            failures.append(
-                f"{rel_name}: {name}: paged_vs_resident_ratio {ratio:.2f} "
-                f"> allowed {PAGED_MAX_RATIO:.2f}")
-    if full_cache_rows == 0:
-        failures.append(
-            f"{rel_name}: no BM_PagedTcFixpoint cache_pct:100 rows — the "
-            f"paged-vs-resident acceptance comparison is missing")
-    if max_ws_over_cache < PAGED_MIN_WS_OVER_CACHE:
-        failures.append(
-            f"{rel_name}: best ws_over_cache {max_ws_over_cache:.1f} < "
-            f"required {PAGED_MIN_WS_OVER_CACHE:.0f} — no row demonstrates "
-            f"out-of-core operation")
-    return failures
-
 
 # Absolute acceptance gates for the multi-client server record
 # (BENCH_server.json), all within-run counts and hence stable under smoke
@@ -277,13 +224,7 @@ def main() -> int:
             compared += sum(1 for name in fresh_rows
                             if name.startswith("BM_IvmIncrementalUpdate")
                             and name.endswith("/off:1"))
-        # The out-of-core gates are likewise absolute.
-        if rel_name == PAGED_FILE:
-            regressions.extend(paged_floor_failures(rel_name, fresh_rows))
-            compared += sum(1 for name in fresh_rows
-                            if name.startswith("BM_PagedTcFixpoint")
-                            and name.endswith("/cache_pct:100"))
-        # And so are the server's shed/no-corruption gates.
+        # The server's shed/no-corruption gates are likewise absolute.
         if rel_name == SERVER_FILE:
             regressions.extend(server_floor_failures(rel_name, fresh_rows))
             compared += sum(1 for name in fresh_rows

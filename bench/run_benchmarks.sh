@@ -126,14 +126,13 @@ if [[ -n "${BENCH_SMOKE:-}" ]]; then
   smoke_args=(--benchmark_min_time=0.01 --benchmark_repetitions=1)
 fi
 
-# bench_storage and bench_paged write snapshot/WAL/page-spill scratch under
+# bench_storage and bench_txn write snapshot/WAL scratch under
 # $TMPDIR/dodb_bench_*; a crashed or interrupted run can leave those (plus
-# stray *.snap / *.wal / *.page / dodb_data/ in the repo root) behind, so
-# sweep them on entry and on exit.
+# stray *.snap / *.wal / dodb_data/ in the repo root) behind, so sweep them
+# on entry and on exit.
 cleanup_storage_artifacts() {
   rm -rf "${TMPDIR:-/tmp}"/dodb_bench_* \
-    "$repo_root"/*.snap "$repo_root"/*.wal "$repo_root"/*.page \
-    "$repo_root/dodb_data"
+    "$repo_root"/*.snap "$repo_root"/*.wal "$repo_root/dodb_data"
 }
 cleanup_storage_artifacts
 trap cleanup_storage_artifacts EXIT

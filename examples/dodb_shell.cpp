@@ -9,12 +9,9 @@
 //   \list                     list relations with arity and tuple count
 //   \show <relation>          print a relation's finite representation
 //   \load <file> / \save <file>  text (.cdb) or binary snapshot (.snap) I/O
-//   \open <dir> [paged]       attach durable storage: recover, then WAL-log;
-//                             "paged" spills every relation out-of-core
+//   \open <dir>               attach durable storage: recover, then WAL-log
 //   \checkpoint               write a snapshot generation, retire the WAL
 //   \wal on|off               re-attach / detach the storage engine
-//   \pagecache [<bytes>]      show / resize the shared page-cache budget
-//   \page <r> on|off          spill one relation out-of-core / residentize
 //   \datalog <file>           run a Datalog(not) program, merge its IDB
 //   \begin / \commit / \abort multi-statement transaction: DML buffers into
 //                             a private write set, queries read the pinned
@@ -34,7 +31,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 
@@ -43,8 +39,6 @@
 namespace {
 
 using dodb::Database;
-using dodb::storage::BufferPool;
-using dodb::storage::RelationPager;
 using dodb::storage::StorageEngine;
 
 bool HasSuffix(const std::string& path, const char* suffix) {
@@ -67,29 +61,6 @@ bool DurableSetRelation(Database* db, StorageEngine* engine,
     }
   }
   db->SetRelation(name, std::move(relation));
-  return true;
-}
-
-// Spills every resident relation of the catalog through `pager`, replacing
-// each by its paged twin (structurally identical, atom payload out-of-core).
-// Spilling is a representation change, not a mutation, so nothing is
-// WAL-logged. Relations in `resident_pins` (the user's per-relation
-// "\page <r> off" overrides) are left alone. Returns false (with a printed
-// error) on the first failure; relations spilled before it stay paged.
-bool SpillAll(Database* db, RelationPager* pager,
-              const std::set<std::string>& resident_pins) {
-  for (const std::string& name : db->RelationNames()) {
-    if (resident_pins.count(name) != 0) continue;
-    const dodb::GeneralizedRelation* rel = db->FindRelation(name);
-    if (rel->is_paged()) continue;
-    dodb::Result<dodb::GeneralizedRelation> paged = pager->Spill(*rel);
-    if (!paged.ok()) {
-      std::cout << "spill error (" << name
-                << "): " << paged.status().ToString() << "\n";
-      return false;
-    }
-    db->SetRelation(name, std::move(paged).value());
-  }
   return true;
 }
 
@@ -471,22 +442,14 @@ void PrintHelp() {
       "  \\show <r>             print relation r\n"
       "  \\load <f> / \\save <f> database I/O; .snap selects the binary\n"
       "                        snapshot format, anything else the text format\n"
-      "  \\open <dir> [paged]   attach durable storage: recover the database\n"
+      "  \\open <dir>           attach durable storage: recover the database\n"
       "                        from the newest snapshot + WAL, then log every\n"
       "                        mutation (create/insert/delete/drop/let/...)\n"
-      "                        write-ahead before applying it; with \"paged\"\n"
-      "                        every relation is spilled out-of-core to\n"
-      "                        <dir>/spill.page and served through the shared\n"
-      "                        page cache (results stay bit-identical)\n"
+      "                        write-ahead before applying it\n"
       "  \\checkpoint           write a new snapshot generation and retire\n"
       "                        the old WAL (also happens on \\quit)\n"
       "  \\wal on|off           re-attach the last \\open directory / detach\n"
       "                        the storage engine (no further logging)\n"
-      "  \\pagecache [<bytes>]  show / resize the page-cache budget shared by\n"
-      "                        all paged relations (evicting down to the new\n"
-      "                        cap immediately; pinned pages are exempt)\n"
-      "  \\page <r> on|off      spill relation r out-of-core / materialize it\n"
-      "                        back to a resident tuple vector\n"
       "  \\datalog <f>          run a Datalog(not) program file\n"
       "  \\view create <name> <rules>\n"
       "                        register a Datalog program as a materialized\n"
@@ -548,26 +511,6 @@ int main(int argc, char** argv) {
   // Durable storage, attached by \open / \wal on. Null = in-memory only.
   std::unique_ptr<StorageEngine> engine;
   std::string storage_dir = "dodb_data";
-
-  // Out-of-core backend: one pager per session, created lazily by
-  // \open <dir> paged (spill file + global buffer pool) or by the first
-  // \page <r> on without storage (memory record store — the interface
-  // without the I/O). paged_catalog tracks whether catalog mutations should
-  // be re-spilled as they land.
-  std::unique_ptr<RelationPager> pager;
-  bool paged_catalog = false;
-  // Relations the user forced resident with \page <r> off while the rest of
-  // the catalog is paged; the post-command re-spill skips them.
-  std::set<std::string> resident_pins;
-
-  // Dirty page writeback never overtakes the WAL: the pool syncs the log
-  // tail before any page bytes reach a spill file. The hook holds a raw
-  // engine pointer, so it is cleared before the engine is ever reset.
-  auto wire_writeback_hook = [&engine] {
-    StorageEngine* raw = engine.get();
-    BufferPool::Global().set_pre_writeback_hook(
-        [raw] { return raw->SyncWal(); });
-  };
 
   // One open shell transaction at a time. The manager is created fresh at
   // \begin (pinning the catalog as it stands then) and torn down at
@@ -684,36 +627,12 @@ int main(int argc, char** argv) {
       std::cout << (status.ok() ? "saved" : status.ToString()) << "\n";
     } else if (trimmed.rfind("\\open ", 0) == 0) {
       std::string dir(dodb::StripWhitespace(trimmed.substr(6)));
-      bool paged = false;
-      if (HasSuffix(dir, " paged")) {
-        dir = std::string(
-            dodb::StripWhitespace(dir.substr(0, dir.size() - 6)));
-        paged = true;
-      }
       if (engine != nullptr) {
         std::cout << "storage already open on '" << engine->dir()
                   << "'; \\wal off first\n";
       } else if (auto opened = OpenStorage(dir, &db, &views)) {
         engine = std::move(opened);
         storage_dir = dir;
-        wire_writeback_hook();
-        if (paged) {
-          auto opened_pager = RelationPager::OpenPaged(
-              dir + "/spill.page", &BufferPool::Global());
-          if (!opened_pager.ok()) {
-            std::cout << "error: " << opened_pager.status().ToString()
-                      << "\n";
-          } else {
-            pager = std::move(opened_pager).value();
-            paged_catalog = true;
-            if (SpillAll(&db, pager.get(), resident_pins)) {
-              std::cout << db.relation_count()
-                        << " relation(s) spilled out-of-core (cache "
-                        << BufferPool::Global().capacity_bytes()
-                        << " bytes; \\pagecache resizes)\n";
-            }
-          }
-        }
       }
     } else if (trimmed == "\\checkpoint") {
       if (engine == nullptr) {
@@ -731,86 +650,15 @@ int main(int argc, char** argv) {
         std::cout << "storage already open on '" << engine->dir() << "'\n";
       } else if (auto opened = OpenStorage(storage_dir, &db, &views)) {
         engine = std::move(opened);
-        wire_writeback_hook();
       }
     } else if (trimmed == "\\wal off") {
       if (engine == nullptr) {
         std::cout << "storage not attached\n";
       } else {
-        BufferPool::Global().set_pre_writeback_hook(nullptr);
         dodb::Status status = engine->Close();
         engine.reset();
         std::cout << (status.ok() ? "storage detached" : status.ToString())
                   << "\n";
-      }
-    } else if (trimmed == "\\pagecache" ||
-               trimmed.rfind("\\pagecache ", 0) == 0) {
-      BufferPool& pool = BufferPool::Global();
-      if (trimmed.size() > 10) {
-        std::string arg(dodb::StripWhitespace(trimmed.substr(11)));
-        uint64_t bytes = 0;
-        std::istringstream in(arg);
-        if (!(in >> bytes) || bytes == 0) {
-          std::cout << "usage: \\pagecache <bytes>\n";
-          continue;
-        }
-        pool.set_capacity_bytes(bytes);
-      }
-      std::cout << "page cache: " << pool.capacity_bytes()
-                << " bytes capacity, " << pool.resident_bytes()
-                << " resident, " << pool.pinned_frames()
-                << " pinned frame(s)\n";
-    } else if (trimmed.rfind("\\page ", 0) == 0) {
-      std::istringstream in(trimmed.substr(6));
-      std::string name, mode;
-      in >> name >> mode;
-      const dodb::GeneralizedRelation* rel = db.FindRelation(name);
-      if (rel == nullptr || (mode != "on" && mode != "off")) {
-        std::cout << (rel == nullptr && !name.empty()
-                          ? "no relation '" + name + "'\n"
-                          : "usage: \\page <relation> on|off\n");
-      } else if (mode == "on") {
-        if (rel->is_paged()) {
-          std::cout << name << " is already paged\n";
-          continue;
-        }
-        if (pager == nullptr) {
-          if (engine != nullptr) {
-            auto opened_pager = RelationPager::OpenPaged(
-                engine->dir() + "/spill.page", &BufferPool::Global());
-            if (!opened_pager.ok()) {
-              std::cout << "error: " << opened_pager.status().ToString()
-                        << "\n";
-              continue;
-            }
-            pager = std::move(opened_pager).value();
-          } else {
-            // No storage directory to spill into; the memory backend still
-            // exercises the record-store path (encode/decode, run cache).
-            pager = RelationPager::InMemory();
-            std::cout << "(no storage attached; using the in-memory record "
-                         "store)\n";
-          }
-        }
-        dodb::Result<dodb::GeneralizedRelation> paged = pager->Spill(*rel);
-        if (!paged.ok()) {
-          std::cout << "error: " << paged.status().ToString() << "\n";
-        } else {
-          db.SetRelation(name, std::move(paged).value());
-          resident_pins.erase(name);
-          std::cout << name << " spilled out-of-core ("
-                    << db.FindRelation(name)->tuple_count() << " tuples)\n";
-        }
-      } else {
-        resident_pins.insert(name);
-        if (!rel->is_paged()) {
-          std::cout << name << " is already resident\n";
-          continue;
-        }
-        // tuples() materializes the full payload (one counted decode).
-        db.SetRelation(name, dodb::GeneralizedRelation::FromCanonicalTuples(
-                                 rel->arity(), rel->tuples()));
-        std::cout << name << " materialized resident\n";
       }
     } else if (trimmed.rfind("\\serve", 0) == 0) {
       // \serve <port> [<max-sessions>]: expose this shell's database over
@@ -874,11 +722,6 @@ int main(int argc, char** argv) {
     } else if (trimmed == "\\stats") {
       std::cout << "evaluation statistics (cumulative for this session):\n"
                 << dodb::EvalCounters::Snapshot().ToString();
-      BufferPool& pool = BufferPool::Global();
-      std::cout << "page cache: " << pool.capacity_bytes()
-                << " bytes capacity, " << pool.resident_bytes()
-                << " resident, " << pool.pinned_frames()
-                << " pinned frame(s)\n";
     } else if (trimmed == "\\encode") {
       Database encoded = db.Encoded();
       bool logged = true;
@@ -919,16 +762,8 @@ int main(int argc, char** argv) {
     } else {
       RunFoQuery(read_db, trimmed, session_options);
     }
-    // Under \open ... paged, mutations land resident (DML rebuilds the
-    // canonical vector); re-spill whatever the command left resident so the
-    // catalog stays out-of-core. SpillAll skips paged, empty and
-    // user-pinned relations, so this is a no-op after read-only commands.
-    if (paged_catalog && pager != nullptr) {
-      SpillAll(&db, pager.get(), resident_pins);
-    }
   }
   if (engine != nullptr) {
-    BufferPool::Global().set_pre_writeback_hook(nullptr);
     dodb::Status status = engine->Close();
     if (!status.ok()) {
       std::cerr << "storage close: " << status.ToString() << "\n";

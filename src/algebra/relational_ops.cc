@@ -33,86 +33,6 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-// Routes a paged-fetch failure through cooperative cancellation: the guard
-// (usually already tripped — the failure propagated out of one of its own
-// page-cache checkpoints) aborts the query with this Status, and the
-// enclosing operator's partial output is discarded like any tripped run's.
-// Without a guard a spill-file I/O error mid-operator is unrecoverable.
-void FailPagedFetch(const Status& status) {
-  QueryGuard* guard = CurrentQueryGuard();
-  DODB_CHECK_MSG(guard != nullptr, status.message().c_str());
-  if (!guard->tripped()) {
-    guard->Trip(GuardSite::kPageEvict, status);
-  }
-}
-
-// Position-addressed tuple access over either storage form of a join
-// input. Resident relations hand out references to their vector; paged
-// relations decode positions through their bounded run cache, so an
-// operator's live decoded memory stays O(runs in flight) while signatures
-// keep coming from the resident index. Get is safe to call concurrently
-// (the run cache locks), which is what lets AddTuplesParallel's workers
-// build candidates from either form through one body.
-class InputTuples {
- public:
-  explicit InputTuples(const GeneralizedRelation& rel)
-      : rel_(rel),
-        runs_(rel.PagedRuns()),
-        resident_(runs_ == nullptr ? &rel.tuples() : nullptr) {}
-
-  size_t size() const { return rel_.tuple_count(); }
-
-  /// The tuple at position i, by value (a paged position is a copy out of
-  /// its decoded run — cheap: atom storage is shared, not cloned).
-  GeneralizedTuple Get(size_t i) const {
-    if (resident_ != nullptr) return (*resident_)[i];
-    auto tuple = runs_->TupleAt(i);
-    if (tuple.ok()) return std::move(tuple).value();
-    FailPagedFetch(tuple.status());
-    // The guard is tripped; any well-formed tuple keeps the worker loops
-    // type-correct until they observe it (the merged output never
-    // surfaces).
-    return GeneralizedTuple(rel_.arity());
-  }
-
-  /// The signature at position i without touching the payload (the index
-  /// mirrors signatures position by position).
-  const TupleSignature& Signature(size_t i) const {
-    if (resident_ != nullptr) return (*resident_)[i].CachedSignature();
-    return rel_.Index().signature(i);
-  }
-
- private:
-  const GeneralizedRelation& rel_;
-  std::shared_ptr<PagedRunCache> runs_;
-  const std::vector<GeneralizedTuple>* resident_;
-};
-
-// Streams rel's tuples in position order through fn (which returns false
-// to stop early). Paged inputs decode one run at a time through the shared
-// run cache — the whole relation is never resident at once.
-template <typename Fn>
-void ForEachTuple(const GeneralizedRelation& rel, Fn&& fn) {
-  std::shared_ptr<PagedRunCache> runs = rel.PagedRuns();
-  if (runs == nullptr) {
-    for (const GeneralizedTuple& tuple : rel.tuples()) {
-      if (!fn(tuple)) return;
-    }
-    return;
-  }
-  const PagedTupleSource& source = runs->source();
-  for (size_t r = 0; r < source.run_count(); ++r) {
-    auto run = runs->Run(r);
-    if (!run.ok()) {
-      FailPagedFetch(run.status());
-      return;
-    }
-    for (const GeneralizedTuple& tuple : *run.value()) {
-      if (!fn(tuple)) return;
-    }
-  }
-}
-
 using ColumnPairs = std::vector<std::pair<int, int>>;
 
 // Whether tuple bounds `sa` (of a) and `sb` (of b) can agree on every
@@ -176,7 +96,7 @@ class CandidatePairs {
         ib.Shards()->shard_count() > 1) {
       ProbeShardPairs(a.Index(), ib, columns);
     } else {
-      ProbeFlat(InputTuples(a), ib, columns);
+      ProbeFlat(a.tuples(), ib, columns);
     }
     EvalCounters::AddPairsPruned(total_ - listed_.size());
   }
@@ -187,16 +107,16 @@ class CandidatePairs {
   }
 
  private:
-  void ProbeFlat(const InputTuples& in_a, const RelationIndex& ib,
-                 const ColumnPairs& columns) {
+  void ProbeFlat(const std::vector<GeneralizedTuple>& ta,
+                 const RelationIndex& ib, const ColumnPairs& columns) {
     const auto [left, right] = ProbePair(ib, columns);
     const ColumnIntervalIndex* intervals = ib.IntervalIndex(right);
     auto probe_start = std::chrono::steady_clock::now();
     std::vector<size_t> window;
     GuardTicker ticker(CurrentQueryGuard(), GuardSite::kAlgebraMaterialize);
-    for (size_t i = 0; i < in_a.size(); ++i) {
+    for (size_t i = 0; i < ta.size(); ++i) {
       if (!ticker.Tick()) break;
-      const TupleSignature& sa = in_a.Signature(i);
+      const TupleSignature& sa = ta[i].CachedSignature();
       window.clear();
       intervals->AppendCandidates(sa.columns[left], &window);
       std::sort(window.begin(), window.end());
@@ -206,7 +126,7 @@ class CandidatePairs {
         }
       }
     }
-    EvalCounters::AddIndexProbes(in_a.size(), ElapsedNs(probe_start));
+    EvalCounters::AddIndexProbes(ta.size(), ElapsedNs(probe_start));
   }
 
   void ProbeShardPairs(const RelationIndex& ia, const RelationIndex& ib,
@@ -268,15 +188,12 @@ GeneralizedRelation Union(const GeneralizedRelation& a,
   DODB_CHECK_MSG(a.arity() == b.arity(), "Union arity mismatch");
   GeneralizedRelation out = a;
   // Stored tuples are already canonical (relation invariant), so they merge
-  // directly — re-running the closure on them would be a no-op. A paged `b`
-  // streams run by run; a paged `a` residentizes on the first merge (the
-  // union is a new relation, not the spilled image).
+  // directly — re-running the closure on them would be a no-op.
   GuardTicker ticker(CurrentQueryGuard(), GuardSite::kAlgebraMaterialize, 64);
-  ForEachTuple(b, [&](const GeneralizedTuple& addition) {
-    if (!ticker.Tick()) return false;
+  for (const GeneralizedTuple& addition : b.tuples()) {
+    if (!ticker.Tick()) break;
     out.AddCanonicalTuple(addition);
-    return true;
-  });
+  }
   return out;
 }
 
@@ -287,13 +204,13 @@ GeneralizedRelation Intersect(const GeneralizedRelation& a,
   ColumnPairs columns;
   columns.reserve(a.arity());
   for (int c = 0; c < a.arity(); ++c) columns.emplace_back(c, c);
-  InputTuples in_a(a);
-  InputTuples in_b(b);
+  const std::vector<GeneralizedTuple>& ta = a.tuples();
+  const std::vector<GeneralizedTuple>& tb = b.tuples();
   CandidatePairs pairs(a, b, columns);
   GeneralizedRelation out(a.arity());
   out.AddTuplesParallel(pairs.size(), [&](size_t k) {
     const auto [i, j] = pairs[k];
-    return in_a.Get(i).Conjoin(in_b.Get(j));
+    return ta[i].Conjoin(tb[j]);
   });
   return out;
 }
@@ -324,15 +241,15 @@ GeneralizedRelation ComplementViaDnf(const GeneralizedRelation& rel) {
   GeneralizedRelation acc = GeneralizedRelation::True(rel.arity());
   GuardTicker ticker(CurrentQueryGuard(), GuardSite::kAlgebraMaterialize, 4);
   bool covers_everything = false;
-  ForEachTuple(rel, [&](const GeneralizedTuple& tuple) {
+  for (const GeneralizedTuple& tuple : rel.tuples()) {
     // Each accumulator step multiplies the partials, so a complement blowup
     // grows between ticks; tick every few input tuples (the inner products
     // are themselves strided through AddTuplesParallel).
-    if (!ticker.Tick()) return false;
+    if (!ticker.Tick()) break;
     GeneralizedTuple minimized = tuple.Minimized();
     if (minimized.is_true()) {
       covers_everything = true;
-      return false;
+      break;
     }
     GeneralizedRelation next(rel.arity());
     const std::vector<GeneralizedTuple>& partials = acc.tuples();
@@ -377,8 +294,8 @@ GeneralizedRelation ComplementViaDnf(const GeneralizedRelation& rel) {
       });
     }
     acc = std::move(next);
-    return !acc.IsEmpty();
-  });
+    if (acc.IsEmpty()) break;
+  }
   if (covers_everything) return GeneralizedRelation(rel.arity());
   return acc;
 }
@@ -397,27 +314,26 @@ GeneralizedRelation Difference(const GeneralizedRelation& a,
   // bit-identical. In semi-naive fixpoints most re-derived tuples fall out
   // here, often before the complement is ever computed.
   const RelationIndex& index = b.Index();
-  InputTuples in_b(b);
+  const std::vector<GeneralizedTuple>& tb = b.tuples();
   GeneralizedRelation kept(a.arity());
   uint64_t checks = 0;
   auto probe_start = std::chrono::steady_clock::now();
   std::vector<size_t> window;
   GuardTicker ticker(CurrentQueryGuard(), GuardSite::kAlgebraMaterialize);
-  ForEachTuple(a, [&](const GeneralizedTuple& tuple) {
-    if (!ticker.Tick()) return false;
+  for (const GeneralizedTuple& tuple : a.tuples()) {
+    if (!ticker.Tick()) break;
     window.clear();
     index.AppendOverlapCandidates(tuple.CachedSignature(), &window);
     bool contained = false;
     for (size_t j : window) {
       ++checks;
-      if (tuple.EntailsTuple(in_b.Get(j))) {
+      if (tuple.EntailsTuple(tb[j])) {
         contained = true;
         break;
       }
     }
     if (!contained) kept.AddCanonicalTuple(tuple);
-    return true;
-  });
+  }
   EvalCounters::AddIndexProbes(a.tuple_count(), ElapsedNs(probe_start));
   EvalCounters::AddSubsumptionChecks(checks);
   if (kept.IsEmpty()) return kept;
@@ -448,14 +364,14 @@ GeneralizedRelation EquiJoin(
   // Fused cross product + equality selection: each candidate pair is widened
   // and conjoined with every join-equality atom in one step, so candidates
   // that fail the join never materialize as intermediates.
-  InputTuples in_a(a);
-  InputTuples in_b(b);
+  const std::vector<GeneralizedTuple>& ta = a.tuples();
+  const std::vector<GeneralizedTuple>& tb = b.tuples();
   CandidatePairs pairs(a, b, column_pairs);
   GeneralizedRelation out(arity);
   out.AddTuplesParallel(pairs.size(), [&](size_t k) {
     const auto [i, j] = pairs[k];
-    GeneralizedTuple candidate = in_a.Get(i).Reindexed(a_map, arity).Conjoin(
-        in_b.Get(j).Reindexed(b_map, arity));
+    GeneralizedTuple candidate = ta[i].Reindexed(a_map, arity).Conjoin(
+        tb[j].Reindexed(b_map, arity));
     for (const DenseAtom& atom : eq_atoms) candidate.AddAtom(atom);
     return candidate;
   });
@@ -464,10 +380,10 @@ GeneralizedRelation EquiJoin(
 
 GeneralizedRelation Select(const GeneralizedRelation& rel,
                            const DenseAtom& atom) {
-  InputTuples in(rel);
+  const std::vector<GeneralizedTuple>& tuples = rel.tuples();
   GeneralizedRelation out(rel.arity());
-  out.AddTuplesParallel(in.size(), [&](size_t i) {
-    GeneralizedTuple selected = in.Get(i);
+  out.AddTuplesParallel(tuples.size(), [&](size_t i) {
+    GeneralizedTuple selected = tuples[i];
     selected.AddAtom(atom);
     return selected;
   });
@@ -495,16 +411,15 @@ GeneralizedRelation Rename(const GeneralizedRelation& rel,
   if (injective) {
     GuardTicker ticker(CurrentQueryGuard(), GuardSite::kAlgebraMaterialize,
                        64);
-    ForEachTuple(rel, [&](const GeneralizedTuple& tuple) {
-      if (!ticker.Tick()) return false;
+    for (const GeneralizedTuple& tuple : rel.tuples()) {
+      if (!ticker.Tick()) break;
       out.AddCanonicalTuple(tuple.ReindexedCanonical(mapping, new_arity));
-      return true;
-    });
+    }
     return out;
   }
-  InputTuples in(rel);
-  out.AddTuplesParallel(in.size(), [&](size_t i) {
-    return in.Get(i).Reindexed(mapping, new_arity);
+  const std::vector<GeneralizedTuple>& tuples = rel.tuples();
+  out.AddTuplesParallel(tuples.size(), [&](size_t i) {
+    return tuples[i].Reindexed(mapping, new_arity);
   });
   return out;
 }

@@ -40,13 +40,6 @@ struct Counters {
   std::atomic<uint64_t> view_rederivations{0};
   std::atomic<uint64_t> view_full_recomputes{0};
   std::atomic<uint64_t> view_maintenance_ns{0};
-  std::atomic<uint64_t> page_cache_hits{0};
-  std::atomic<uint64_t> page_cache_misses{0};
-  std::atomic<uint64_t> page_evictions{0};
-  std::atomic<uint64_t> page_writeback_bytes{0};
-  std::atomic<uint64_t> paged_runs_fetched{0};
-  std::atomic<uint64_t> paged_spill_bytes{0};
-  std::atomic<uint64_t> paged_materializations{0};
 };
 
 Counters& Global() {
@@ -149,27 +142,6 @@ void EvalCounters::AddViewFullRecomputes(uint64_t n) {
 void EvalCounters::AddViewMaintenanceNs(uint64_t ns) {
   Global().view_maintenance_ns.fetch_add(ns, kRelaxed);
 }
-void EvalCounters::AddPageCacheHits(uint64_t n) {
-  Global().page_cache_hits.fetch_add(n, kRelaxed);
-}
-void EvalCounters::AddPageCacheMisses(uint64_t n) {
-  Global().page_cache_misses.fetch_add(n, kRelaxed);
-}
-void EvalCounters::AddPageEvictions(uint64_t n) {
-  Global().page_evictions.fetch_add(n, kRelaxed);
-}
-void EvalCounters::AddPageWritebackBytes(uint64_t n) {
-  Global().page_writeback_bytes.fetch_add(n, kRelaxed);
-}
-void EvalCounters::AddPagedRunsFetched(uint64_t n) {
-  Global().paged_runs_fetched.fetch_add(n, kRelaxed);
-}
-void EvalCounters::AddPagedSpillBytes(uint64_t n) {
-  Global().paged_spill_bytes.fetch_add(n, kRelaxed);
-}
-void EvalCounters::AddPagedMaterializations(uint64_t n) {
-  Global().paged_materializations.fetch_add(n, kRelaxed);
-}
 
 EvalCounterSnapshot EvalCounters::Snapshot() {
   const Counters& c = Global();
@@ -205,13 +177,6 @@ EvalCounterSnapshot EvalCounters::Snapshot() {
   snap.view_rederivations = c.view_rederivations.load(kRelaxed);
   snap.view_full_recomputes = c.view_full_recomputes.load(kRelaxed);
   snap.view_maintenance_ns = c.view_maintenance_ns.load(kRelaxed);
-  snap.page_cache_hits = c.page_cache_hits.load(kRelaxed);
-  snap.page_cache_misses = c.page_cache_misses.load(kRelaxed);
-  snap.page_evictions = c.page_evictions.load(kRelaxed);
-  snap.page_writeback_bytes = c.page_writeback_bytes.load(kRelaxed);
-  snap.paged_runs_fetched = c.paged_runs_fetched.load(kRelaxed);
-  snap.paged_spill_bytes = c.paged_spill_bytes.load(kRelaxed);
-  snap.paged_materializations = c.paged_materializations.load(kRelaxed);
   return snap;
 }
 
@@ -255,15 +220,6 @@ EvalCounterSnapshot EvalCounterSnapshot::operator-(
   delta.view_full_recomputes =
       view_full_recomputes - since.view_full_recomputes;
   delta.view_maintenance_ns = view_maintenance_ns - since.view_maintenance_ns;
-  delta.page_cache_hits = page_cache_hits - since.page_cache_hits;
-  delta.page_cache_misses = page_cache_misses - since.page_cache_misses;
-  delta.page_evictions = page_evictions - since.page_evictions;
-  delta.page_writeback_bytes =
-      page_writeback_bytes - since.page_writeback_bytes;
-  delta.paged_runs_fetched = paged_runs_fetched - since.paged_runs_fetched;
-  delta.paged_spill_bytes = paged_spill_bytes - since.paged_spill_bytes;
-  delta.paged_materializations =
-      paged_materializations - since.paged_materializations;
   return delta;
 }
 
@@ -308,14 +264,7 @@ std::string EvalCounterSnapshot::ToString() const {
       "  view delta tuples            ", view_delta_tuples, "\n",
       "  view rederivations           ", view_rederivations, "\n",
       "  view full recomputes         ", view_full_recomputes, "\n",
-      "  view maintenance time        ", Millis(view_maintenance_ns), "\n",
-      "  page cache hits / misses     ", page_cache_hits, " / ",
-      page_cache_misses, "\n",
-      "  page evictions               ", page_evictions, "\n",
-      "  page writeback bytes         ", page_writeback_bytes, "\n",
-      "  paged runs fetched           ", paged_runs_fetched, "\n",
-      "  paged spill bytes            ", paged_spill_bytes, "\n",
-      "  paged materializations       ", paged_materializations, "\n");
+      "  view maintenance time        ", Millis(view_maintenance_ns), "\n");
 }
 
 }  // namespace dodb

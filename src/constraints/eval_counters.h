@@ -50,19 +50,6 @@ struct EvalCounterSnapshot {
                                         // back to a from-scratch fixpoint
   uint64_t view_maintenance_ns = 0;     // wall time inside ApplyDelta /
                                         // Recompute across all views
-  uint64_t page_cache_hits = 0;         // buffer-pool fetches served from a
-                                        // resident frame
-  uint64_t page_cache_misses = 0;       // fetches that had to read the page
-                                        // file (or allocate a fresh page)
-  uint64_t page_evictions = 0;          // frames recycled by CLOCK
-  uint64_t page_writeback_bytes = 0;    // dirty-page bytes written back to
-                                        // spill files
-  uint64_t paged_runs_fetched = 0;      // tuple runs decoded from a record
-                                        // store by streaming operators
-  uint64_t paged_spill_bytes = 0;       // encoded run payload bytes written
-                                        // into record stores by spills
-  uint64_t paged_materializations = 0;  // paged relations fully decoded back
-                                        // to a resident tuple vector
 
   EvalCounterSnapshot operator-(const EvalCounterSnapshot& since) const;
   /// Multi-line human-readable rendering (shell \stats).
@@ -104,13 +91,6 @@ class EvalCounters {
   static void AddViewRederivations(uint64_t n);
   static void AddViewFullRecomputes(uint64_t n);
   static void AddViewMaintenanceNs(uint64_t ns);
-  static void AddPageCacheHits(uint64_t n);
-  static void AddPageCacheMisses(uint64_t n);
-  static void AddPageEvictions(uint64_t n);
-  static void AddPageWritebackBytes(uint64_t n);
-  static void AddPagedRunsFetched(uint64_t n);
-  static void AddPagedSpillBytes(uint64_t n);
-  static void AddPagedMaterializations(uint64_t n);
 
   static EvalCounterSnapshot Snapshot();
 };

@@ -30,54 +30,10 @@ GeneralizedRelation::GeneralizedRelation(int arity) : arity_(arity) {
 
 const std::vector<GeneralizedTuple>& GeneralizedRelation::tuples() const {
   static const std::vector<GeneralizedTuple> kEmpty;
-  if (paged_ && !tuples_) MaterializeIfPaged();
   return tuples_ ? *tuples_ : kEmpty;
 }
 
-void GeneralizedRelation::MaterializeIfPaged() const {
-  if (!paged_ || tuples_) return;
-  // The PagedState is shared by every copy of the spilled relation; the
-  // first copy touched decodes, the rest adopt its vector.
-  std::lock_guard<std::mutex> lock(paged_->mu);
-  if (paged_->materialized) {
-    tuples_ = paged_->materialized;
-    return;
-  }
-  const PagedTupleSource& source = *paged_->source;
-  auto decoded = std::make_shared<std::vector<GeneralizedTuple>>();
-  decoded->reserve(source.tuple_count());
-  Status status = Status::Ok();
-  std::vector<GeneralizedTuple> run;
-  for (size_t r = 0; r < source.run_count() && status.ok(); ++r) {
-    status = source.FetchRun(r, &run);
-    if (status.ok()) {
-      for (GeneralizedTuple& t : run) decoded->push_back(std::move(t));
-    }
-  }
-  if (!status.ok()) {
-    // tuples() cannot surface a Status; route the failure through the
-    // cooperative-cancellation channel so the enclosing query aborts with
-    // it (a fault-armed fetch has usually tripped the guard already).
-    QueryGuard* guard = CurrentQueryGuard();
-    DODB_CHECK_MSG(guard != nullptr, status.message().c_str());
-    if (!guard->tripped()) {
-      guard->Trip(GuardSite::kPageEvict, std::move(status));
-    }
-    return;  // tuples() yields kEmpty; the guard Status is what surfaces
-  }
-  DODB_CHECK_MSG(decoded->size() == source.tuple_count(),
-                 "paged source returned the wrong tuple count");
-  EvalCounters::AddPagedMaterializations(1);
-  paged_->materialized = decoded;
-  tuples_ = std::move(decoded);
-}
-
 std::vector<GeneralizedTuple>& GeneralizedRelation::MutableTuples() {
-  if (paged_) {
-    // Mutation would desynchronize the spilled image; residentize first.
-    MaterializeIfPaged();
-    paged_.reset();
-  }
   if (!tuples_) {
     tuples_ = std::make_shared<std::vector<GeneralizedTuple>>();
   } else if (tuples_.use_count() > 1) {
@@ -117,23 +73,6 @@ GeneralizedRelation GeneralizedRelation::FromCanonicalTuples(
         std::make_shared<std::vector<GeneralizedTuple>>(std::move(tuples));
   }
   return rel;
-}
-
-GeneralizedRelation GeneralizedRelation::FromPagedSource(
-    std::shared_ptr<const PagedTupleSource> source,
-    std::shared_ptr<RelationIndex> index) {
-  DODB_CHECK_MSG(source != nullptr, "FromPagedSource with a null source");
-  GeneralizedRelation rel(source->arity());
-  rel.index_ = std::move(index);
-  rel.paged_ = std::make_shared<PagedState>();
-  rel.paged_->runs = std::make_shared<PagedRunCache>(source);
-  rel.paged_->source = std::move(source);
-  return rel;
-}
-
-std::shared_ptr<RelationIndex> GeneralizedRelation::SharedIndex() const {
-  Index();  // build if absent
-  return index_;
 }
 
 void GeneralizedRelation::PlaceInArena(GeneralizedTuple& tuple) {

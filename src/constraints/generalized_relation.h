@@ -3,12 +3,10 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "constraints/generalized_tuple.h"
-#include "constraints/paged_source.h"
 #include "constraints/relation_index.h"
 
 namespace dodb {
@@ -26,22 +24,17 @@ class GeneralizedRelation {
   /// The empty relation over Q^arity (formula "false").
   explicit GeneralizedRelation(int arity);
 
-  /// Copies share tuple storage (copy-on-write), the index snapshot and any
-  /// paged state, but never the atom arena: the arena is an append-only
-  /// buffer owned by the thread mutating this relation, and two relations
-  /// appending to one arena would race. The copy starts a fresh arena on its
-  /// first insert; tuples it shares keep their spans alive through per-tuple
-  /// refs.
+  /// Copies share tuple storage (copy-on-write) and the index snapshot, but
+  /// never the atom arena: the arena is an append-only buffer owned by the
+  /// thread mutating this relation, and two relations appending to one
+  /// arena would race. The copy starts a fresh arena on its first insert;
+  /// tuples it shares keep their spans alive through per-tuple refs.
   GeneralizedRelation(const GeneralizedRelation& other)
-      : arity_(other.arity_),
-        tuples_(other.tuples_),
-        index_(other.index_),
-        paged_(other.paged_) {}
+      : arity_(other.arity_), tuples_(other.tuples_), index_(other.index_) {}
   GeneralizedRelation& operator=(const GeneralizedRelation& other) {
     arity_ = other.arity_;
     tuples_ = other.tuples_;
     index_ = other.index_;
-    paged_ = other.paged_;
     arena_.reset();
     return *this;
   }
@@ -67,54 +60,11 @@ class GeneralizedRelation {
   static GeneralizedRelation FromCanonicalTuples(
       int arity, std::vector<GeneralizedTuple> tuples);
 
-  /// A relation whose canonical tuple vector lives out-of-core behind
-  /// `source` (same ordering/invariants as FromCanonicalTuples, positions
-  /// [0, source->tuple_count())). `index` is the RelationIndex built over
-  /// those tuples before they were spilled — signatures, shards and
-  /// interval structures stay resident so joins and subsumption prune
-  /// without touching a single page. tuples() transparently materializes
-  /// (the relation behaves exactly like its resident twin, paying one full
-  /// decode); the streaming algebra paths consult PagedRuns() instead and
-  /// never materialize. Any mutation residentizes first.
-  static GeneralizedRelation FromPagedSource(
-      std::shared_ptr<const PagedTupleSource> source,
-      std::shared_ptr<RelationIndex> index);
-
-  /// Whether the tuple payload currently lives behind a PagedTupleSource
-  /// (false again after anything forces materialization + mutation).
-  bool is_paged() const { return paged_ != nullptr; }
-
-  /// The shared decoded-run cache of a paged relation; nullptr when
-  /// resident. Streaming operators read tuples through this.
-  std::shared_ptr<PagedRunCache> PagedRuns() const {
-    return paged_ ? paged_->runs : nullptr;
-  }
-  /// The paged source; nullptr when resident.
-  std::shared_ptr<const PagedTupleSource> PagedSource() const {
-    return paged_ ? paged_->source : nullptr;
-  }
-
-  /// The lazily built index as a shareable handle (the spill path hands it
-  /// to FromPagedSource so the paged twin reuses the resident build).
-  std::shared_ptr<RelationIndex> SharedIndex() const;
-
   int arity() const { return arity_; }
-  /// The canonical tuple vector. For a paged relation this materializes the
-  /// whole payload on first touch (counted as a paged_materialization); a
-  /// fetch failure trips the current query guard and yields the empty
-  /// vector — the guard's Status is what the query surfaces. Materializing
-  /// through copies that share one PagedState is thread-safe (they share
-  /// the decode, too); touching one *object* from several threads is not,
-  /// same as every other caching accessor here.
+  /// The canonical tuple vector.
   const std::vector<GeneralizedTuple>& tuples() const;
-  bool IsEmpty() const {
-    if (tuples_) return tuples_->empty();
-    return !paged_ || paged_->source->tuple_count() == 0;
-  }
-  size_t tuple_count() const {
-    if (tuples_) return tuples_->size();
-    return paged_ ? paged_->source->tuple_count() : 0;
-  }
+  bool IsEmpty() const { return tuple_count() == 0; }
+  size_t tuple_count() const { return tuples_ ? tuples_->size() : 0; }
   /// Total atom count across tuples (representation-size metric of §3).
   size_t atom_count() const;
 
@@ -187,37 +137,18 @@ class GeneralizedRelation {
 
   /// The tuple vector, unshared: clones a vector other copies of the
   /// relation still reference (copy-on-write), allocates when still empty.
-  /// Every mutation goes through this. A paged relation materializes first
-  /// and drops its paged state — the spilled image would go stale.
+  /// Every mutation goes through this.
   std::vector<GeneralizedTuple>& MutableTuples();
-
-  /// Out-of-core payload of a spilled relation, shared by all its copies.
-  /// `materialized` caches the one full decode (guarded by mu), so copies
-  /// that each get touched pay for a single decode between them.
-  struct PagedState {
-    std::shared_ptr<const PagedTupleSource> source;
-    std::shared_ptr<PagedRunCache> runs;
-    std::mutex mu;
-    std::shared_ptr<std::vector<GeneralizedTuple>> materialized;
-  };
-
-  /// Ensures tuples_ is set (decoding every run of paged_ when needed).
-  /// Trips the current guard on fetch failure; see tuples().
-  void MaterializeIfPaged() const;
 
   int arity_;
   // Copy-on-write tuple storage: copies of a relation (per-round fixpoint
   // snapshots, the accumulator copy inside algebra::Union) share one vector
   // until a mutation detaches it, so a relation copy is O(1) instead of a
   // deep copy of every tuple. nullptr means empty (the common transient
-  // case: algebra operators construct many empty intermediates) — unless
-  // paged_ is set, in which case the payload lives out-of-core and this is
-  // its lazily filled materialization cache.
-  mutable std::shared_ptr<std::vector<GeneralizedTuple>> tuples_;
+  // case: algebra operators construct many empty intermediates).
+  std::shared_ptr<std::vector<GeneralizedTuple>> tuples_;
   // See Index(). shared_ptr with the same sharing discipline.
   mutable std::shared_ptr<RelationIndex> index_;
-  // See PagedState; nullptr for resident relations.
-  mutable std::shared_ptr<PagedState> paged_;
   // Flat atom storage for stored tuples (see AtomArena): created on the
   // first insert that has a heap-backed atom list to place, deliberately
   // NOT shared by copies (see the copy constructor). Tuples hold their own

@@ -27,8 +27,6 @@ const FaultSiteInfo kAllFaultSites[kGuardSiteCount] = {
     {GuardSite::kWalReplay, "wal-replay"},
     {GuardSite::kViewDeltaApply, "view-delta-apply"},
     {GuardSite::kViewRederive, "view-rederive"},
-    {GuardSite::kPageEvict, "page-evict"},
-    {GuardSite::kPageWriteback, "page-writeback"},
     {GuardSite::kWalSyncDegrade, "wal-sync-degrade"},
     {GuardSite::kServerAccept, "server-accept"},
     {GuardSite::kServerRead, "server-read"},

@@ -51,10 +51,6 @@ const char* GuardSiteName(GuardSite site) {
       return "view-delta-apply";
     case GuardSite::kViewRederive:
       return "view-rederive";
-    case GuardSite::kPageEvict:
-      return "page-evict";
-    case GuardSite::kPageWriteback:
-      return "page-writeback";
     case GuardSite::kWalSyncDegrade:
       return "wal-sync-degrade";
     case GuardSite::kServerAccept:
@@ -82,7 +78,11 @@ QueryGuard::QueryGuard(GuardLimits limits)
                 std::chrono::milliseconds(limits.deadline_ms)) {}
 
 void QueryGuard::ArmFault(GuardSite site, uint64_t nth) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (fault_site_.load(kRelaxed) >= 0) return;  // first arm wins
   fault_nth_ = nth;
+  // Release after fault_nth_: Checkpoint reads fault_nth_ only once its
+  // acquire load has seen this site.
   fault_site_.store(static_cast<int>(site), std::memory_order_release);
 }
 

@@ -64,18 +64,11 @@ enum class GuardSite {
   kViewDeltaApply,          // per-delta-tuple loop in incremental insert /
                             // over-delete propagation
   kViewRederive,            // per-candidate loop in the DRed re-derive pass
-  // Buffer-pool sites (src/storage/buffer_pool.cc). Reachable only while a
-  // paged record store is in use; a trip emulates a crash inside the page
-  // cache — the spill file holds exactly the pages already written back,
-  // and recovery rebuilds the paged catalog from the snapshot + WAL, which
-  // never depend on spill-file contents.
-  kPageEvict,               // frame selection when the pool is at capacity
-  kPageWriteback,           // before a dirty page's bytes reach the file
   // Degrade site (src/storage/storage_engine.cc). A trip emulates an fsync
   // failure (EIO) rather than a crash: the engine goes sticky-failed and
   // every later mutation is refused with kReadOnly while queries keep
   // working — the server's graceful-degradation contract.
-  kWalSyncDegrade,          // before the WAL tail fsync in SyncWal/LogRecord
+  kWalSyncDegrade,          // before every WAL tail fsync (SyncWriter)
   // Server sites (src/server/). Consumed one-shot by the server's
   // OneShotFault rather than a sticky guard trip: the chaos harness drops
   // exactly the nth connection / tears exactly the nth frame, and the
@@ -92,7 +85,7 @@ enum class GuardSite {
   kTxnCommitValidate,       // during first-committer-wins write-set check
   kTxnWalCommit,            // before the commit record group reaches the WAL
 };
-inline constexpr int kGuardSiteCount = 27;
+inline constexpr int kGuardSiteCount = 25;
 /// Index of the first storage-engine site. Sites below this are reachable
 /// from query evaluation; sites from here on are reachable only through the
 /// storage engine (the fault sweeps in robustness_test / storage_test split
@@ -119,7 +112,9 @@ class QueryGuard {
 
   /// Arms the deterministic fault hook: the nth (1-based) Checkpoint at
   /// `site` trips the guard with a ResourceExhausted status naming the
-  /// site. Call before sharing the guard with workers.
+  /// site. Only an unarmed guard is armed: the first arm wins, as the first
+  /// trip does, so nested evaluators that resolve the same guard and spec
+  /// inside concurrent jobs never write the fault fields workers read.
   void ArmFault(GuardSite site, uint64_t nth);
 
   /// Records one checkpoint at `site` (plus `work` candidate tuples of
@@ -183,7 +178,7 @@ class QueryGuard {
   std::atomic<uint64_t> bytes_{0};
 
   std::atomic<int> fault_site_{-1};
-  uint64_t fault_nth_ = 0;  // written before sharing, read-only after
+  uint64_t fault_nth_ = 0;  // written once, under mu_, before fault_site_
 
   mutable std::mutex mu_;
   Status trip_status_;        // guarded by mu_

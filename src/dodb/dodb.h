@@ -81,10 +81,7 @@
 #include "spatial/polygon.h"
 #include "spatial/region.h"
 #include "storage/binary_format.h"
-#include "storage/buffer_pool.h"
 #include "storage/file_io.h"
-#include "storage/paged_relation.h"
-#include "storage/record_store.h"
 #include "storage/snapshot.h"
 #include "storage/storage_engine.h"
 #include "storage/wal.h"

@@ -87,78 +87,6 @@ Status AppendFile::Close() {
   return Status::Ok();
 }
 
-RandomAccessFile::~RandomAccessFile() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Status RandomAccessFile::Open(const std::string& path, bool truncate) {
-  DODB_CHECK_MSG(fd_ < 0, "RandomAccessFile::Open on an open handle");
-  int flags = O_RDWR | O_CREAT | (truncate ? O_TRUNC : 0);
-  fd_ = ::open(path.c_str(), flags, 0644);
-  if (fd_ < 0) return Errno("open", path);
-  path_ = path;
-  return Status::Ok();
-}
-
-Status RandomAccessFile::ReadAt(uint64_t offset, void* buf,
-                                size_t size) const {
-  DODB_CHECK_MSG(fd_ >= 0, "RandomAccessFile::ReadAt on a closed handle");
-  uint8_t* p = static_cast<uint8_t*>(buf);
-  size_t left = size;
-  off_t at = static_cast<off_t>(offset);
-  while (left > 0) {
-    ssize_t n = ::pread(fd_, p, left, at);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("pread", path_);
-    }
-    if (n == 0) {
-      return Status::Internal(
-          StrCat("pread '", path_, "': short read at offset ", offset,
-                 " (file truncated?)"));
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
-    at += n;
-  }
-  return Status::Ok();
-}
-
-Status RandomAccessFile::WriteAt(uint64_t offset, const void* data,
-                                 size_t size) {
-  DODB_CHECK_MSG(fd_ >= 0, "RandomAccessFile::WriteAt on a closed handle");
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  size_t left = size;
-  off_t at = static_cast<off_t>(offset);
-  while (left > 0) {
-    ssize_t n = ::pwrite(fd_, p, left, at);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("pwrite", path_);
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
-    at += n;
-  }
-  EvalCounters::AddStorageBytesWritten(size);
-  return Status::Ok();
-}
-
-Status RandomAccessFile::Sync() {
-  DODB_CHECK_MSG(fd_ >= 0, "RandomAccessFile::Sync on a closed handle");
-  if (::fsync(fd_) != 0) return Errno("fsync", path_);
-  EvalCounters::AddStorageFsyncs(1);
-  return Status::Ok();
-}
-
-Status RandomAccessFile::Close() {
-  if (fd_ < 0) return Status::Ok();
-  int fd = fd_;
-  fd_ = -1;
-  if (::close(fd) != 0) return Errno("close", path_);
-  return Status::Ok();
-}
-
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {

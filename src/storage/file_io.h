@@ -47,40 +47,6 @@ class AppendFile {
   uint64_t size_ = 0;
 };
 
-/// Random-access (pread/pwrite) file for the paged record store. Unlike
-/// AppendFile there is no positional state: reads and writes name their
-/// offset explicitly, so the buffer pool can write back and re-read pages
-/// from any thread without coordinating a shared cursor. Writes reach the
-/// kernel before the call returns (same discipline as AppendFile);
-/// durability still requires Sync.
-class RandomAccessFile {
- public:
-  RandomAccessFile() = default;
-  ~RandomAccessFile();
-  RandomAccessFile(const RandomAccessFile&) = delete;
-  RandomAccessFile& operator=(const RandomAccessFile&) = delete;
-
-  /// Opens read-write; creates the file when absent. `truncate` drops any
-  /// existing contents first.
-  Status Open(const std::string& path, bool truncate = false);
-  bool is_open() const { return fd_ >= 0; }
-  const std::string& path() const { return path_; }
-
-  /// Reads exactly `size` bytes at `offset`; a short read (EOF inside the
-  /// range) is an error — pages are written whole, so a partial page means
-  /// truncation or corruption.
-  Status ReadAt(uint64_t offset, void* buf, size_t size) const;
-  /// Writes exactly `size` bytes at `offset`, extending the file as needed.
-  Status WriteAt(uint64_t offset, const void* data, size_t size);
-  /// fsync. Counts toward the engine-wide fsync counter.
-  Status Sync();
-  Status Close();
-
- private:
-  int fd_ = -1;
-  std::string path_;
-};
-
 /// Whole-file read; NotFound when the file does not exist.
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
 

@@ -335,18 +335,6 @@ Status StorageEngine::LogRecord(const WalRecord& record) {
   return Status::Ok();
 }
 
-Status StorageEngine::SyncWal() {
-  if (options_.mode == DurabilityMode::kOff) return Status::Ok();
-  if (closed_) {
-    return Status::Internal("storage engine used after Close()");
-  }
-  if (!failed_.ok()) return RejectReadOnly();
-  if (unsynced_records_ > 0) {
-    DODB_RETURN_IF_ERROR(SyncWriter());
-  }
-  return Status::Ok();
-}
-
 Status StorageEngine::LogCreate(const std::string& name, int arity) {
   WalRecord record;
   record.type = WalRecordType::kCreateRelation;

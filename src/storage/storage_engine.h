@@ -107,7 +107,7 @@ struct RecoveryInfo {
 /// wal_sync_every = 1) and recovery will replay it. A Log* error means the
 /// op must not be applied or acknowledged — and the engine goes sticky-
 /// failed: the failing call returns its own error, and every LATER
-/// Log*/Checkpoint/SyncWal is refused with a distinct StatusCode::kReadOnly
+/// Log*/Checkpoint is refused with a distinct StatusCode::kReadOnly
 /// naming the original failure, because after a failed append the disk
 /// state no longer tracks memory and only a fresh Open() (which
 /// re-truncates the torn tail) can re-establish the invariant. The typed
@@ -169,12 +169,6 @@ class StorageEngine {
 
   /// Writes a new snapshot generation and retires the old WAL.
   Status Checkpoint();
-
-  /// Syncs any batched WAL tail without closing or checkpointing. The
-  /// buffer pool's pre-writeback hook: dirty page writeback must never
-  /// overtake the log records that justify the state on those pages.
-  /// A no-op in kOff mode and when nothing is unsynced.
-  Status SyncWal();
 
   /// Syncs any batched WAL tail; in kWalCheckpoint mode also checkpoints.
   /// The destructor calls Close() best-effort; call it explicitly to see

@@ -17,8 +17,8 @@ namespace txn {
 namespace {
 
 // Builds every lazy cache concurrent readers would otherwise race to build:
-// the relation index (which also materializes paged payloads), and each
-// stored tuple's signature and closed order graph. After this, evaluation
+// the relation index, and each stored tuple's signature and closed order
+// graph. After this, evaluation
 // against copies of the relation performs pure reads on the shared objects.
 void WarmRelation(GeneralizedRelation* rel) {
   rel->Index();

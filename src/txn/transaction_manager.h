@@ -46,11 +46,10 @@ namespace txn {
 /// sessions, but GeneralizedRelation / GeneralizedTuple carry lazy caches
 /// (relation index, tuple signature, closure graph) that are not safe to
 /// build from two threads at once. Publish() therefore warms every changed
-/// relation — builds its index, materializes paged payloads, and closes
-/// every stored tuple's cached signature + order graph — before the
-/// snapshot becomes visible; unchanged relations share the previous
-/// snapshot's already-warm objects, so warming is O(changed), not
-/// O(catalog).
+/// relation — builds its index and closes every stored tuple's cached
+/// signature + order graph — before the snapshot becomes visible;
+/// unchanged relations share the previous snapshot's already-warm objects,
+/// so warming is O(changed), not O(catalog).
 
 /// Counters mirrored into \stats and the bench JSONs.
 struct TxnCounters {

@@ -10,6 +10,7 @@
 
 #include "algebra/relational_ops.h"
 #include "constraints/dense_qe.h"
+#include "core/query_guard.h"
 #include "core/thread_pool.h"
 #include "datalog/datalog_evaluator.h"
 #include "datalog/datalog_parser.h"
@@ -227,7 +228,12 @@ TEST(ParallelDeterminismTest, GuardedUntrippedEqualsUnguarded) {
 }
 
 // The same contract for the Datalog fixpoint: IDB and round count are
-// bit-identical with an untripped guard, at 1 thread and at 8.
+// bit-identical with an untripped guard, at 1 thread and at 8. The last
+// input arms a fault that never fires on a program whose semi-naive rounds
+// fire one rule job per `tc` occurrence, so at 8 threads the nested
+// evaluators of concurrent jobs all resolve the one armed guard while
+// their siblings checkpoint it (a data race under TSan unless only the
+// first arm writes the fault fields).
 TEST(ParallelDeterminismTest, GuardedUntrippedDatalogEqualsUnguarded) {
   Database edb;
   edb.SetRelation("e", GeneralizedRelation::FromPoints(
@@ -236,29 +242,51 @@ TEST(ParallelDeterminismTest, GuardedUntrippedDatalogEqualsUnguarded) {
                                {Rational(3), Rational(4)},
                                {Rational(2), Rational(6)},
                                {Rational(6), Rational(7)}}));
-  DatalogProgram program = DatalogParser::ParseProgram(R"(
+  const char* kLinearTc = R"(
     tc(x, y) :- e(x, y).
     tc(x, y) :- tc(x, z), e(z, y).
-  )").value();
-  for (int threads : {1, 8}) {
+  )";
+  const char* kDoublingTc = R"(
+    tc(x, y) :- e(x, y).
+    tc(x, y) :- tc(x, z), tc(z, y).
+  )";
+  struct Input {
+    const char* program;
+    int threads;
+    const char* fault_spec;
+  };
+  for (const Input& input : {Input{kLinearTc, 1, ""}, Input{kLinearTc, 8, ""},
+                             Input{kDoublingTc, 8, "closure-sweep:1000000000"}}) {
+    DatalogProgram program = DatalogParser::ParseProgram(input.program).value();
     DatalogOptions unguarded;
-    unguarded.eval_options.num_threads = threads;
+    unguarded.eval_options.num_threads = input.threads;
     DatalogEvaluator plain(program, &edb, unguarded);
     Result<Database> expected = plain.Evaluate();
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
+    GuardLimits generous;
+    generous.deadline_ms = 1000 * 60 * 60;
+    generous.max_work_tuples = uint64_t{1} << 40;
+    QueryGuard guard(generous);
     DatalogOptions guarded = unguarded;
-    guarded.eval_options.limits.deadline_ms = 1000 * 60 * 60;
-    guarded.eval_options.limits.max_work_tuples = uint64_t{1} << 40;
+    guarded.eval_options.guard = &guard;
+    guarded.eval_options.fault_spec = input.fault_spec;
     DatalogEvaluator watched(program, &edb, guarded);
     Result<Database> actual = watched.Evaluate();
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    EXPECT_FALSE(guard.tripped());
     EXPECT_EQ(plain.iterations(), watched.iterations());
+    if (*input.fault_spec != '\0') {
+      // More rule jobs than rounds: some round fired several at once.
+      EXPECT_GT(guard.site_checkpoints(GuardSite::kDatalogRule),
+                watched.iterations());
+    }
     for (const std::string& name : expected.value().RelationNames()) {
       EXPECT_EQ(Fingerprint(*expected.value().FindRelation(name)),
                 Fingerprint(*actual.value().FindRelation(name)))
           << name << " differs under an untripped guard at num_threads="
-          << threads;
+          << input.threads << " with fault spec '" << input.fault_spec
+          << "'";
     }
   }
 }

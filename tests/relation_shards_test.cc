@@ -272,6 +272,77 @@ TEST(ShardDifferentialTest, AlgebraMatchesOracleAcrossThreads) {
   }
 }
 
+// The join enumerator picks its strategy by input size; these sizes
+// straddle both thresholds: 3x4 = 12 pairs stay below 16 (all pairs),
+// 12x12 = 144 below 256 (the flat probe), and the 64/48-tuple relations
+// hold several shards each (shard pairs). Every operator, a two-pair
+// EquiJoin and a non-injective Rename included, is structurally identical
+// at 1 and 8 threads in every regime.
+TEST(ShardDifferentialTest, EveryJoinStrategyIsThreadCountInvariant) {
+  auto run_suite = [](const GeneralizedRelation& xa,
+                      const GeneralizedRelation& xb,
+                      const GeneralizedRelation& xra,
+                      const GeneralizedRelation& xrb) {
+    std::vector<std::string> prints;
+    prints.push_back(Fingerprint(algebra::Intersect(xa, xb)));
+    prints.push_back(Fingerprint(algebra::Intersect(xra, xrb)));
+    prints.push_back(Fingerprint(algebra::EquiJoin(xra, xrb, {{1, 0}})));
+    prints.push_back(
+        Fingerprint(algebra::EquiJoin(xra, xrb, {{0, 1}, {1, 0}})));
+    prints.push_back(Fingerprint(algebra::Difference(xa, xb)));
+    prints.push_back(Fingerprint(algebra::Union(xra, xrb)));
+    prints.push_back(Fingerprint(algebra::CrossProduct(xa, xb)));
+    prints.push_back(Fingerprint(algebra::Select(xra, VarConst(0, RelOp::kLt,
+                                                               40))));
+    prints.push_back(Fingerprint(algebra::Rename(xra, {1, 0}, 2)));
+    prints.push_back(Fingerprint(algebra::Rename(xra, {0, 0}, 1)));
+    prints.push_back(Fingerprint(algebra::Complement(xa)));
+    return prints;
+  };
+
+  enum Strategy { kAllPairs, kFlatProbe, kShardPairs };
+  struct Sizes {
+    int left;
+    int right;
+    int rect_left;
+    int rect_right;
+    Strategy strategy;
+  };
+  for (const Sizes& n :
+       {Sizes{3, 4, 3, 4, kAllPairs}, Sizes{12, 12, 12, 12, kFlatProbe},
+        Sizes{64, 64, 48, 48, kShardPairs}}) {
+    const std::string label = std::to_string(n.left) + "x" +
+                              std::to_string(n.right);
+    GeneralizedRelation a = bench::RandomIntervals(n.left, 0, 5);
+    GeneralizedRelation b = bench::RandomIntervals(n.right, 0, 6);
+    GeneralizedRelation ra = bench::RandomRectangles(n.rect_left, 0, 7);
+    GeneralizedRelation rb = bench::RandomRectangles(n.rect_right, 0, 8);
+    const size_t pairs = a.tuple_count() * b.tuple_count();
+    ASSERT_EQ(pairs < 16 ? kAllPairs : pairs < 256 ? kFlatProbe : kShardPairs,
+              n.strategy)
+        << label;
+    if (n.strategy == kShardPairs) {
+      ASSERT_GT(a.Index().Shards()->shard_count(), 1u);
+      ASSERT_GT(b.Index().Shards()->shard_count(), 1u);
+      ASSERT_GT(ra.Index().Shards()->shard_count(), 1u);
+      ASSERT_GT(rb.Index().Shards()->shard_count(), 1u);
+    }
+
+    std::vector<std::string> baseline;
+    {
+      EvalThreadsScope threads(1);
+      // Only the probing strategies prune pairs.
+      EvalCounterSnapshot before = EvalCounters::Snapshot();
+      algebra::Intersect(a, b);
+      EvalCounterSnapshot delta = EvalCounters::Snapshot() - before;
+      EXPECT_EQ(delta.pairs_pruned == 0, n.strategy == kAllPairs) << label;
+      baseline = run_suite(a, b, ra, rb);
+    }
+    EvalThreadsScope threads(8);
+    EXPECT_EQ(baseline, run_suite(a, b, ra, rb)) << label << " at 8 threads";
+  }
+}
+
 TEST(ShardDifferentialTest, RandomAtomSoupMatchesOracle) {
   for (uint64_t seed : {5u, 17u, 61u}) {
     GeneralizedRelation a = RandomRelation(2, 60, 3, seed);

@@ -19,9 +19,7 @@
 #include "io/commands.h"
 #include "io/text_format.h"
 #include "storage/binary_format.h"
-#include "storage/buffer_pool.h"
 #include "storage/file_io.h"
-#include "storage/paged_relation.h"
 #include "storage/snapshot.h"
 #include "storage/storage_engine.h"
 #include "storage/wal.h"
@@ -591,7 +589,6 @@ TEST(StorageEngineTest, StickyFailureDegradesToTypedReadOnly) {
   EXPECT_EQ(refused.status().code(), StatusCode::kReadOnly);
   EXPECT_NE(refused.status().message().find("read-only"), std::string::npos);
   EXPECT_EQ(engine.value()->Checkpoint().code(), StatusCode::kReadOnly);
-  EXPECT_EQ(engine.value()->SyncWal().code(), StatusCode::kReadOnly);
   engine.value().reset();  // abandon the degraded engine without checkpoint
 
   Database recovered;
@@ -658,79 +655,6 @@ TEST(StorageEngineTest, StorageCountersAdvance) {
   EXPECT_GT(delta.wal_records_appended, 0u);
   EXPECT_GT(delta.snapshots_written, 0u);
   EXPECT_GT(delta.storage_recovery_ns, 0u);
-}
-
-// The out-of-core layer's WAL-before-writeback contract, end to end. With a
-// batched (unsynced) WAL tail, spilling through a buffer pool whose
-// pre-writeback hook is StorageEngine::SyncWal must sync that tail before
-// any dirty page byte reaches the spill file; and a crash mid-writeback (a
-// fault at the page-writeback site trips *before* the write) loses nothing,
-// because the spill file is an ephemeral cache — recovery is ordinary WAL
-// replay of every acknowledged record.
-TEST(StorageEngineCrashTest, CrashMidPageWritebackRecoversByWalReplay) {
-  const std::string dir = TestDir("paged_crash");
-  Database db;
-  StorageOptions options;
-  options.mode = DurabilityMode::kWal;
-  options.wal_sync_every = 1000;  // keep an unsynced group-commit tail
-  Result<std::unique_ptr<StorageEngine>> engine =
-      StorageEngine::Open(dir, &db, options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE(
-      ExecuteCommand(&db, "create r(1)", engine.value().get()).ok());
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(ExecuteCommand(
-                    &db,
-                    "insert into r x0 >= " + std::to_string(4 * i) +
-                        " and x0 <= " + std::to_string(4 * i + 2),
-                    engine.value().get())
-                    .ok());
-  }
-  const std::string fingerprint = Fingerprint(db);
-
-  // A tiny private pool forces dirty evictions mid-spill; the hook counts
-  // its runs so the ordering is observable.
-  BufferPool pool(2 * kPageSize);
-  int hook_runs = 0;
-  pool.set_pre_writeback_hook([&engine, &hook_runs] {
-    ++hook_runs;
-    return engine.value()->SyncWal();
-  });
-
-  {  // Success path: writebacks happen, each preceded by the WAL sync.
-    Result<std::unique_ptr<RelationPager>> pager =
-        RelationPager::OpenPaged(dir + "/spill.page", &pool);
-    ASSERT_TRUE(pager.ok());
-    Result<GeneralizedRelation> spilled =
-        pager.value()->Spill(*db.FindRelation("r"));
-    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-    ASSERT_TRUE(pager.value()->store().Flush().ok());
-    EXPECT_GT(hook_runs, 0) << "no writeback ever consulted the WAL hook";
-  }
-
-  {  // Crash path: the fault trips before any page byte moves.
-    QueryGuard guard;
-    ASSERT_TRUE(ArmFaultFromSpec(&guard, "page-writeback:1").ok());
-    QueryGuardScope scope(&guard);
-    Result<std::unique_ptr<RelationPager>> pager =
-        RelationPager::OpenPaged(dir + "/spill2.page", &pool);
-    ASSERT_TRUE(pager.ok());
-    Result<GeneralizedRelation> spilled =
-        pager.value()->Spill(*db.FindRelation("r"));
-    EXPECT_FALSE(spilled.ok());
-    EXPECT_TRUE(guard.tripped());
-    EXPECT_EQ(guard.trip_site_name(), "page-writeback");
-  }
-  EXPECT_EQ(pool.pinned_frames(), 0u);
-
-  pool.set_pre_writeback_hook(nullptr);
-  engine.value().reset();  // crash: no Close(), no checkpoint
-
-  Database recovered;
-  Result<std::unique_ptr<StorageEngine>> reopened =
-      StorageEngine::Open(dir, &recovered, {});
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ(Fingerprint(recovered), fingerprint);
 }
 
 }  // namespace

@@ -51,32 +51,6 @@ BENCHMARK(BM_TransitiveClosure)
     ->Range(4, 32)
     ->Complexity();
 
-// Ablation: the same transitive closure with semi-naive evaluation turned
-// off (every round re-derives everything from the full snapshot). Both are
-// polynomial — Theorem 4.4 does not care — but the delta-driven evaluator
-// is what makes the constant factors production-worthy.
-void BM_TransitiveClosureNaiveAblation(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Database db;
-  db.SetRelation("e", bench::PathGraph(n));
-  DatalogProgram program = DatalogParser::ParseProgram(R"(
-    tc(x, y) :- e(x, y).
-    tc(x, y) :- tc(x, z), e(z, y).
-  )").value();
-  DatalogOptions options;
-  options.semi_naive = false;
-  bench::ScopedCounterReport eval_counters(state);
-  for (auto _ : state) {
-    DatalogEvaluator evaluator(program, &db, options);
-    benchmark::DoNotOptimize(evaluator.Evaluate());
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_TransitiveClosureNaiveAblation)
-    ->RangeMultiplier(2)
-    ->Range(4, 16)
-    ->Complexity();
-
 void BM_ParityWalk(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   Database db;

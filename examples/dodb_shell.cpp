@@ -10,6 +10,7 @@
 //   \show <relation>          print a relation's finite representation
 //   \load <file> / \save <file>  text (.cdb) or binary snapshot (.snap) I/O
 //   \open <dir>               attach durable storage: recover, then WAL-log
+//                             (an empty catalog only; \save it first)
 //   \checkpoint               write a snapshot generation, retire the WAL
 //   \wal on|off               re-attach / detach the storage engine
 //   \datalog <file>           run a Datalog(not) program, merge its IDB
@@ -445,7 +446,8 @@ void PrintHelp() {
       "  \\open <dir>           attach durable storage: recover the database\n"
       "                        from the newest snapshot + WAL, then log every\n"
       "                        mutation (create/insert/delete/drop/let/...)\n"
-      "                        write-ahead before applying it\n"
+      "                        write-ahead before applying it; refused\n"
+      "                        unless the catalog is empty (\\save first)\n"
       "  \\checkpoint           write a new snapshot generation and retire\n"
       "                        the old WAL (also happens on \\quit)\n"
       "  \\wal on|off           re-attach the last \\open directory / detach\n"
@@ -630,6 +632,13 @@ int main(int argc, char** argv) {
       if (engine != nullptr) {
         std::cout << "storage already open on '" << engine->dir()
                   << "'; \\wal off first\n";
+      } else if (db.relation_count() > 0 || views.view_count() > 0) {
+        // Recovery replaces the catalog with the directory's state.
+        std::cout << "refusing to \\open '" << dir << "': the catalog holds "
+                  << db.relation_count() << " relation(s) and "
+                  << views.view_count()
+                  << " view(s) that recovery would replace; \\save them "
+                     "to a file first\n";
       } else if (auto opened = OpenStorage(dir, &db, &views)) {
         engine = std::move(opened);
         storage_dir = dir;

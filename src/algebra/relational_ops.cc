@@ -392,6 +392,11 @@ GeneralizedRelation Select(const GeneralizedRelation& rel,
 
 GeneralizedRelation Rename(const GeneralizedRelation& rel,
                            const std::vector<int>& mapping, int new_arity) {
+  bool identity = new_arity == rel.arity();
+  for (size_t i = 0; identity && i < mapping.size(); ++i) {
+    identity = mapping[i] == static_cast<int>(i);
+  }
+  if (identity) return rel;  // shares rel's tuples (copy-on-write)
   GeneralizedRelation out(new_arity);
   // Injective renamings (column permutation / widening — the common case in
   // rule evaluation) preserve canonical form up to re-orienting and

@@ -60,6 +60,7 @@ GeneralizedRelation Select(const GeneralizedRelation& rel,
 /// Column permutation / widening: column i of `rel` becomes column
 /// mapping[i] of the result. Mapping two source columns to the same target
 /// is allowed and means their equality (used for R(x, x) style atoms).
+/// The identity mapping returns `rel` itself, sharing its tuples.
 GeneralizedRelation Rename(const GeneralizedRelation& rel,
                            const std::vector<int>& mapping, int new_arity);
 

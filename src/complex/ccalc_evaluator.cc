@@ -178,40 +178,15 @@ Result<CCalcEvaluator::Binding> CCalcEvaluator::EvalRelationAtom(
         StrCat("'", name, "' has arity ", k, " but is used with arity ",
                args.size()));
   }
-  std::vector<std::string> vars;
   for (const FoExpr& arg : args) {
-    if (arg.IsSimpleVar() && IndexOfVar(vars, arg.VarName()) < 0) {
-      vars.push_back(arg.VarName());
-    } else if (!arg.IsSimpleVar() && !arg.IsConstant()) {
+    if (!arg.IsSimpleVar() && !arg.IsConstant()) {
       return Status::Unsupported(
           StrCat("linear term '", arg.ToString(), "' in C-CALC atom"));
     }
   }
-  int num_vars = static_cast<int>(vars.size());
-  int num_consts = 0;
-  std::vector<int> mapping(k);
-  std::vector<std::pair<int, Rational>> pinned;
-  for (int i = 0; i < k; ++i) {
-    const FoExpr& arg = args[i];
-    if (arg.IsSimpleVar()) {
-      mapping[i] = IndexOfVar(vars, arg.VarName());
-    } else {
-      int column = num_vars + num_consts;
-      mapping[i] = column;
-      pinned.emplace_back(column, arg.constant);
-      ++num_consts;
-    }
-  }
-  GeneralizedRelation renamed =
-      algebra::Rename(stored, mapping, num_vars + num_consts);
-  for (const auto& [column, value] : pinned) {
-    renamed = algebra::Select(
-        renamed,
-        DenseAtom(Term::Var(column), RelOp::kEq, Term::Const(value)));
-  }
-  std::vector<int> keep(num_vars);
-  for (int i = 0; i < num_vars; ++i) keep[i] = i;
-  return Binding(std::move(vars), ProjectColumns(renamed, keep));
+  Binding binding;
+  binding.rel = ReadRelationAtom(stored, args, &binding.vars);
+  return binding;
 }
 
 Result<CCalcEvaluator::Binding> CCalcEvaluator::EvalMember(

@@ -93,8 +93,11 @@ GeneralizedRelation EliminateVariable(const GeneralizedTuple& tuple, int var) {
   DODB_CHECK(var >= 0 && var < tuple.arity());
   GeneralizedRelation result(tuple.arity());
 
-  // Reuse the tuple's own (typically already-closed) network; elimination
-  // runs on job-local tuples, so the caching accessor is safe here.
+  // Reuse the tuple's own network. It may be a stored tuple that pool
+  // workers or concurrent sessions read at once (atoms share the stored
+  // relation); the caching accessor is safe because shared tuples are warm,
+  // their networks built and closed (read-only): published snapshots by
+  // WarmRelation, Datalog rounds by WarmDatabaseCaches, bound inputs too.
   OrderGraph* graph = tuple.CachedGraph();
   if (!graph->IsSatisfiable()) return result;  // exists x. false == false
 
@@ -212,6 +215,11 @@ GeneralizedRelation ProjectColumns(const GeneralizedRelation& relation,
     DODB_CHECK_MSG(!kept[column], "duplicate column in projection");
     kept[column] = true;
   }
+  bool identity = static_cast<int>(keep.size()) == relation.arity();
+  for (size_t i = 0; identity && i < keep.size(); ++i) {
+    identity = keep[i] == static_cast<int>(i);
+  }
+  if (identity) return relation;
   GeneralizedRelation current = relation;
   for (int column = 0; column < relation.arity(); ++column) {
     if (!kept[column]) current = EliminateVariable(current, column);

@@ -23,7 +23,8 @@ GeneralizedRelation EliminateVariable(const GeneralizedRelation& relation,
                                       int var);
 
 /// Projection onto the listed columns, in the listed order: eliminates every
-/// other variable, then reindexes keep[i] -> i.
+/// other variable, then reindexes keep[i] -> i. Keeping every column in
+/// order returns `relation` itself, sharing its tuples.
 GeneralizedRelation ProjectColumns(const GeneralizedRelation& relation,
                                    const std::vector<int>& keep);
 

@@ -95,6 +95,21 @@ class EvalCounters {
   static EvalCounterSnapshot Snapshot();
 };
 
+/// Writes the counter delta covering its lifetime into `*out`: the
+/// attribution of process-wide counters to one evaluation.
+class CounterDeltaScope {
+ public:
+  explicit CounterDeltaScope(EvalCounterSnapshot* out)
+      : start_(EvalCounters::Snapshot()), out_(out) {}
+  ~CounterDeltaScope() { *out_ = EvalCounters::Snapshot() - start_; }
+  CounterDeltaScope(const CounterDeltaScope&) = delete;
+  CounterDeltaScope& operator=(const CounterDeltaScope&) = delete;
+
+ private:
+  EvalCounterSnapshot start_;
+  EvalCounterSnapshot* out_;
+};
+
 }  // namespace dodb
 
 #endif  // DODB_CONSTRAINTS_EVAL_COUNTERS_H_

@@ -294,6 +294,19 @@ void GeneralizedRelation::AddTuplesParallel(
   if (guard != nullptr) guard->AccountBytes(kSite, pending_bytes);
 }
 
+GeneralizedRelation GeneralizedRelation::OverlapSubset(
+    const TupleSignature& probe) const {
+  std::vector<size_t> positions;
+  Index().AppendOverlapCandidates(probe, &positions);
+  if (positions.size() == tuple_count()) return *this;
+  GeneralizedRelation subset(arity_);
+  if (positions.empty()) return subset;
+  subset.tuples_ = std::make_shared<std::vector<GeneralizedTuple>>();
+  subset.tuples_->reserve(positions.size());
+  for (size_t pos : positions) subset.tuples_->push_back((*tuples_)[pos]);
+  return subset;
+}
+
 bool GeneralizedRelation::Contains(const std::vector<Rational>& point) const {
   for (const GeneralizedTuple& tuple : tuples()) {
     if (tuple.Contains(point)) return true;

@@ -103,6 +103,14 @@ class GeneralizedRelation {
   void AddTuplesParallel(size_t n,
                          const std::function<GeneralizedTuple(size_t)>& make);
 
+  /// The stored tuples whose signature box overlaps `probe` on every column
+  /// (RelationIndex::AppendOverlapCandidates), in stored order, sharing
+  /// them: a subset of a canonical relation is canonical, so nothing is
+  /// re-canonicalized. A tuple outside it cannot meet a conjunct that pins
+  /// its columns inside the probe. Returns this relation itself when the
+  /// probe prunes nothing. Builds the index lazily, like Index().
+  GeneralizedRelation OverlapSubset(const TupleSignature& probe) const;
+
   /// Point membership in the represented (possibly infinite) point set.
   bool Contains(const std::vector<Rational>& point) const;
 

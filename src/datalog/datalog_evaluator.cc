@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 
@@ -15,25 +16,25 @@
 
 namespace dodb {
 
-DatalogEvaluator::DatalogEvaluator(DatalogProgram program, const Database* edb,
-                                   DatalogOptions options)
-    : program_(std::move(program)), edb_(edb), options_(options) {
-  DODB_CHECK(edb != nullptr);
-}
-
 namespace {
 
-// Conjunction of body literals as a first-order formula.
-FormulaPtr LowerLiterals(const std::vector<DatalogLiteral>& literals) {
+// Conjunction of body literals as a first-order formula. When `atoms` is
+// given, appends the lowered relation atom of each literal to it (null for
+// a constraint literal).
+FormulaPtr LowerLiterals(const std::vector<DatalogLiteral>& literals,
+                         std::vector<const Formula*>* atoms = nullptr) {
   FormulaPtr body;
   for (const DatalogLiteral& literal : literals) {
     FormulaPtr part;
+    const Formula* atom = nullptr;
     if (literal.kind == DatalogLiteral::Kind::kCompare) {
       part = MakeCompare(literal.lhs, literal.op, literal.rhs);
     } else {
       part = MakeRelation(literal.relation, literal.args);
+      atom = part.get();
       if (literal.negated) part = MakeNot(std::move(part));
     }
+    if (atoms != nullptr) atoms->push_back(atom);
     body = body ? MakeAnd(std::move(body), std::move(part)) : std::move(part);
   }
   if (!body) body = MakeBool(true);
@@ -41,17 +42,17 @@ FormulaPtr LowerLiterals(const std::vector<DatalogLiteral>& literals) {
 }
 
 // Lowers a rule body into a first-order formula, existentially closing the
-// variables that do not occur in the head.
-FormulaPtr LowerBody(const DatalogRule& rule) {
-  FormulaPtr body = LowerLiterals(rule.body);
-
-  std::set<std::string> head_vars;
-  for (const FoExpr& arg : rule.head_args) {
-    if (arg.IsSimpleVar()) head_vars.insert(arg.VarName());
-  }
+// variables that are not head variables.
+FormulaPtr LowerBody(const std::vector<DatalogLiteral>& literals,
+                     const std::vector<std::string>& head_vars,
+                     std::vector<const Formula*>* atoms) {
+  FormulaPtr body = LowerLiterals(literals, atoms);
   std::vector<std::string> closed;
   for (const std::string& var : body->FreeVars()) {
-    if (head_vars.count(var) == 0) closed.push_back(var);
+    if (std::find(head_vars.begin(), head_vars.end(), var) ==
+        head_vars.end()) {
+      closed.push_back(var);
+    }
   }
   if (!closed.empty()) body = MakeExists(std::move(closed), std::move(body));
   return body;
@@ -59,56 +60,84 @@ FormulaPtr LowerBody(const DatalogRule& rule) {
 
 }  // namespace
 
-Result<GeneralizedRelation> DatalogEvaluator::EvalRule(
-    const DatalogRule& rule, const Database& snapshot) {
-  Query query;
-  query.body = LowerBody(rule);
-  // Head variables in first-occurrence order.
+DatalogEvaluator::DatalogEvaluator(DatalogProgram program, const Database* edb,
+                                   DatalogOptions options)
+    : program_(std::move(program)), edb_(edb), options_(options) {
+  DODB_CHECK(edb != nullptr);
+  compiled_.reserve(program_.rules.size());
+  for (const DatalogRule& rule : program_.rules) {
+    compiled_.push_back(Compile(rule));
+  }
+}
+
+DatalogEvaluator::CompiledRule DatalogEvaluator::Compile(
+    const DatalogRule& rule) {
+  CompiledRule compiled;
+  std::vector<std::string>& head_vars = compiled.head_vars;
   for (const FoExpr& arg : rule.head_args) {
-    if (arg.IsSimpleVar() &&
-        std::find(query.head.begin(), query.head.end(), arg.VarName()) ==
-            query.head.end()) {
-      query.head.push_back(arg.VarName());
+    if (arg.IsSimpleVar() && std::find(head_vars.begin(), head_vars.end(),
+                                       arg.VarName()) == head_vars.end()) {
+      head_vars.push_back(arg.VarName());
     }
+  }
+  compiled.body.formula =
+      LowerBody(rule.body, head_vars, &compiled.body.atoms);
+  // The extra head atom mentions only head variables, so both forms close
+  // the same ones.
+  std::vector<DatalogLiteral> with_head = rule.body;
+  DatalogLiteral head_atom;
+  head_atom.kind = DatalogLiteral::Kind::kRelation;
+  head_atom.relation = rule.head;
+  head_atom.args = rule.head_args;
+  with_head.push_back(std::move(head_atom));
+  compiled.rederive.formula =
+      LowerBody(with_head, head_vars, &compiled.rederive.atoms);
+
+  compiled.widen_mapping.assign(head_vars.size(), -1);
+  for (int i = 0; i < static_cast<int>(rule.head_args.size()); ++i) {
+    const FoExpr& arg = rule.head_args[i];
+    if (!arg.IsSimpleVar()) {
+      compiled.widen_pins.emplace_back(Term::Var(i), RelOp::kEq,
+                                       Term::Const(arg.constant));
+      continue;
+    }
+    int& first = compiled.widen_mapping[std::find(head_vars.begin(),
+                                                  head_vars.end(),
+                                                  arg.VarName()) -
+                                        head_vars.begin()];
+    if (first < 0) {
+      first = i;
+    } else {
+      compiled.widen_pins.emplace_back(Term::Var(i), RelOp::kEq,
+                                       Term::Var(first));
+    }
+  }
+  return compiled;
+}
+
+Result<GeneralizedRelation> DatalogEvaluator::FireRule(
+    size_t rule_index, const Database& snapshot,
+    const std::vector<const GeneralizedRelation*>& inputs) {
+  DODB_CHECK(rule_index < compiled_.size());
+  const CompiledRule& rule = compiled_[rule_index];
+  const LoweredBody& body =
+      inputs.size() > rule.body.atoms.size() ? rule.rederive : rule.body;
+  DODB_CHECK(inputs.size() <= body.atoms.size());
+  AtomInputs bound;
+  for (size_t o = 0; o < inputs.size(); ++o) {
+    if (inputs[o] == nullptr) continue;
+    DODB_CHECK(body.atoms[o] != nullptr);
+    bound.emplace_back(body.atoms[o], inputs[o]);
   }
   FoEvaluator evaluator(&snapshot, options_.eval_options);
-  Result<GeneralizedRelation> answer = evaluator.Evaluate(query);
+  Result<GeneralizedRelation> answer =
+      evaluator.EvaluateFormula(*body.formula, rule.head_vars, bound);
   if (!answer.ok()) return answer;
-
-  // Widen the answer over distinct variables to the full head arity,
-  // duplicating variable columns and pinning constant arguments.
-  int arity = static_cast<int>(rule.head_args.size());
-  std::vector<int> mapping(query.head.size(), -1);
-  std::vector<int> first_column(query.head.size(), -1);
-  for (int i = 0; i < arity; ++i) {
-    const FoExpr& arg = rule.head_args[i];
-    if (!arg.IsSimpleVar()) continue;
-    int v = static_cast<int>(
-        std::find(query.head.begin(), query.head.end(), arg.VarName()) -
-        query.head.begin());
-    if (first_column[v] < 0) {
-      first_column[v] = i;
-      mapping[v] = i;
-    }
-  }
-  GeneralizedRelation widened =
-      algebra::Rename(answer.value(), mapping, arity);
-  for (int i = 0; i < arity; ++i) {
-    const FoExpr& arg = rule.head_args[i];
-    if (arg.IsSimpleVar()) {
-      int v = static_cast<int>(
-          std::find(query.head.begin(), query.head.end(), arg.VarName()) -
-          query.head.begin());
-      if (first_column[v] != i) {
-        widened = algebra::Select(
-            widened, DenseAtom(Term::Var(i), RelOp::kEq,
-                               Term::Var(first_column[v])));
-      }
-    } else {
-      widened = algebra::Select(
-          widened,
-          DenseAtom(Term::Var(i), RelOp::kEq, Term::Const(arg.constant)));
-    }
+  GeneralizedRelation widened = algebra::Rename(
+      answer.value(), rule.widen_mapping,
+      static_cast<int>(program_.rules[rule_index].head_args.size()));
+  for (const DenseAtom& pin : rule.widen_pins) {
+    widened = algebra::Select(widened, pin);
   }
   return widened;
 }
@@ -140,18 +169,13 @@ GeneralizedRelation StructuralTupleDifference(const GeneralizedRelation& next,
   return out;
 }
 
-namespace {
-
-constexpr char kDeltaRelationName[] = "__dodb_delta";
-
-}  // namespace
-
 // Populates and closes the lazily cached constraint network of every stored
 // tuple, each tuple's signature and each relation's constraint-signature
-// index. Copies of these tuples and relations made inside pool workers share
-// the caches, and all of them are read-only once warm — so after warming,
-// concurrent rule evaluations may read the snapshot freely, and every job in
-// the round probes the one snapshot index instead of rebuilding its own.
+// index. Rule jobs read these relations in place (atoms share the stored
+// tuples) or through copies that share the caches, and all of them are
+// read-only once warm — so after warming, concurrent rule evaluations may
+// read the snapshot and the bound inputs freely, and every job in the round
+// probes one index instead of rebuilding its own.
 static void WarmRelationCaches(const GeneralizedRelation& rel) {
   for (const GeneralizedTuple& tuple : rel.tuples()) {
     tuple.IsSatisfiable();
@@ -162,68 +186,32 @@ static void WarmRelationCaches(const GeneralizedRelation& rel) {
   rel.Index().Shards();
 }
 
-void WarmDatabaseCaches(const Database& db) {
+void WarmDatabaseCaches(
+    const Database& db, const std::vector<const GeneralizedRelation*>& inputs) {
   for (const std::string& name : db.RelationNames()) {
     WarmRelationCaches(*db.FindRelation(name));
+  }
+  for (const GeneralizedRelation* input : inputs) {
+    if (input != nullptr) WarmRelationCaches(*input);
   }
 }
 
 namespace {
 
-// Writes the engine-counter delta covering its lifetime into `out`.
-class CounterDeltaScope {
- public:
-  explicit CounterDeltaScope(EvalCounterSnapshot* out)
-      : start_(EvalCounters::Snapshot()), out_(out) {}
-  ~CounterDeltaScope() { *out_ = EvalCounters::Snapshot() - start_; }
-
- private:
-  EvalCounterSnapshot start_;
-  EvalCounterSnapshot* out_;
-};
-
 // One unit of work in a fixpoint round: a rule fired naively against the
-// full snapshot, or (semi-naive) one positive IDB occurrence of a rule
-// redirected to the previous round's delta.
+// full snapshot (no inputs), or one positive IDB occurrence of a rule bound
+// to the previous round's delta.
 struct RuleJob {
-  const DatalogRule* rule = nullptr;
-  const GeneralizedRelation* delta = nullptr;  // null = naive firing
-  size_t occurrence = 0;
+  size_t rule = 0;
+  std::vector<const GeneralizedRelation*> inputs;
 };
 
 }  // namespace
 
-Result<GeneralizedRelation> DatalogEvaluator::FireRule(
-    size_t rule_index, const Database& snapshot,
-    std::optional<size_t> redirect_occurrence,
-    std::string_view redirect_relation) {
-  DODB_CHECK(rule_index < program_.rules.size());
-  const DatalogRule& rule = program_.rules[rule_index];
-  if (!redirect_occurrence.has_value()) return EvalRule(rule, snapshot);
-  DODB_CHECK(*redirect_occurrence < rule.body.size());
-  DatalogRule focused = rule;
-  focused.body[*redirect_occurrence].relation = std::string(redirect_relation);
-  return EvalRule(focused, snapshot);
-}
-
-Result<GeneralizedRelation> DatalogEvaluator::FireRule(
-    size_t rule_index, const Database& snapshot,
-    const std::vector<std::pair<size_t, std::string>>& redirects) {
-  DODB_CHECK(rule_index < program_.rules.size());
-  const DatalogRule& rule = program_.rules[rule_index];
-  if (redirects.empty()) return EvalRule(rule, snapshot);
-  DatalogRule focused = rule;
-  for (const auto& [occurrence, relation] : redirects) {
-    DODB_CHECK(occurrence < focused.body.size());
-    focused.body[occurrence].relation = relation;
-  }
-  return EvalRule(focused, snapshot);
-}
-
-Status DatalogEvaluator::RunToFixpoint(
-    const std::vector<const DatalogRule*>& rules, Database* idb) {
+Status DatalogEvaluator::RunToFixpoint(const std::vector<size_t>& rules,
+                                       Database* idb) {
   std::map<std::string, int> idb_arities = program_.IdbArities();
-  // Deltas from the previous round (only consulted when semi-naive).
+  // Deltas from the previous round.
   std::map<std::string, GeneralizedRelation> delta_in;
   bool first_round = true;
 
@@ -231,15 +219,9 @@ Status DatalogEvaluator::RunToFixpoint(
     if (options_.max_iterations != 0 &&
         iterations_ >= options_.max_iterations) {
       return Status::ResourceExhausted(
-          StrCat("datalog fixpoint did not stabilize within ",
-                 options_.max_iterations, " rounds"));
-    }
-    if (options_.max_fix_rounds != 0 &&
-        iterations_ >= options_.max_fix_rounds) {
-      return Status::ResourceExhausted(
           StrCat("datalog fixpoint did not stabilize within the round "
                  "budget of ",
-                 options_.max_fix_rounds));
+                 options_.max_iterations, " rounds"));
     }
     // One guard checkpoint per round: a deadline or budget hit between
     // rounds aborts here; mid-round trips surface from the rule jobs.
@@ -271,35 +253,28 @@ Status DatalogEvaluator::RunToFixpoint(
     // same derivation sequence as a one-rule-at-a-time loop, so
     // the fixpoint trajectory is bit-identical at any thread count.
     std::vector<RuleJob> jobs;
-    for (const DatalogRule* rule : rules) {
+    std::vector<const GeneralizedRelation*> bound;  // every job's inputs
+    for (size_t rule : rules) {
+      const DatalogRule& body = program_.rules[rule];
       std::optional<std::vector<size_t>> positive =
-          options_.semi_naive && !first_round
-              ? PositiveIdbOccurrences(*rule, idb_arities)
-              : std::nullopt;
+          first_round ? std::nullopt
+                      : PositiveIdbOccurrences(body, idb_arities);
       if (!positive.has_value()) {
-        // Naive: negation present, semi-naive disabled, or first round.
-        jobs.push_back(RuleJob{rule, nullptr, 0});
+        // Naive: negation present, or the first round.
+        jobs.push_back(RuleJob{rule, {}});
         continue;
       }
       // EDB-only rules (positive->empty()) saturated in round 1: no job.
-      // Semi-naive: once per positive IDB occurrence, with that occurrence
-      // redirected to the previous round's delta.
       for (size_t occurrence : *positive) {
-        const std::string& pred = rule->body[occurrence].relation;
-        auto delta_it = delta_in.find(pred);
+        auto delta_it = delta_in.find(body.body[occurrence].relation);
         if (delta_it == delta_in.end() || delta_it->second.IsEmpty()) {
           continue;
         }
-        jobs.push_back(RuleJob{rule, &delta_it->second, occurrence});
-      }
-    }
-
-    // Install the round's deltas into the shared snapshot under reserved
-    // per-predicate names, so each semi-naive job only rewrites its own
-    // (small) rule copy instead of deep-copying the whole database.
-    for (const auto& [pred, delta] : delta_in) {
-      if (!delta.IsEmpty()) {
-        snapshot.SetRelation(StrCat(kDeltaRelationName, ":", pred), delta);
+        RuleJob job{rule, std::vector<const GeneralizedRelation*>(
+                              occurrence + 1, nullptr)};
+        job.inputs[occurrence] = &delta_it->second;
+        bound.push_back(&delta_it->second);
+        jobs.push_back(std::move(job));
       }
     }
 
@@ -312,12 +287,7 @@ Status DatalogEvaluator::RunToFixpoint(
           guard != nullptr && !guard->Checkpoint(GuardSite::kDatalogRule)) {
         return guard->status();
       }
-      const RuleJob& job = jobs[j];
-      if (job.delta == nullptr) return EvalRule(*job.rule, snapshot);
-      DatalogRule focused = *job.rule;
-      focused.body[job.occurrence].relation =
-          StrCat(kDeltaRelationName, ":", focused.body[job.occurrence].relation);
-      return EvalRule(focused, snapshot);
+      return FireRule(jobs[j].rule, snapshot, jobs[j].inputs);
     };
 
     std::vector<Result<GeneralizedRelation>> derived;
@@ -328,16 +298,17 @@ Status DatalogEvaluator::RunToFixpoint(
         if (!derived.back().ok()) return derived.back().status();
       }
     } else {
-      // Concurrent jobs share the snapshot (which now holds the round's
-      // deltas too) read-only; warming makes every shared tuple's closure
-      // cache closed (hence read-only) before the first worker touches it.
-      WarmDatabaseCaches(snapshot);
+      // Concurrent jobs share the snapshot and the deltas they are bound
+      // to, read in place; warming makes every shared tuple's closure cache
+      // closed (hence read-only) before the first worker touches it.
+      WarmDatabaseCaches(snapshot, bound);
       derived = ParallelMap<Result<GeneralizedRelation>>(jobs.size(),
                                                          eval_job);
     }
     for (size_t j = 0; j < jobs.size(); ++j) {
       if (!derived[j].ok()) return derived[j].status();
-      merge_derived(jobs[j].rule->head, std::move(derived[j]).value());
+      merge_derived(program_.rules[jobs[j].rule].head,
+                    std::move(derived[j]).value());
     }
 
     bool changed = false;
@@ -454,9 +425,8 @@ Result<Database> DatalogEvaluator::Evaluate() {
   }
 
   if (options_.semantics == DatalogSemantics::kInflationary) {
-    std::vector<const DatalogRule*> rules;
-    rules.reserve(program_.rules.size());
-    for (const DatalogRule& rule : program_.rules) rules.push_back(&rule);
+    std::vector<size_t> rules(program_.rules.size());
+    std::iota(rules.begin(), rules.end(), 0);
     DODB_RETURN_IF_ERROR(RunToFixpoint(rules, &idb));
     return idb;
   }
@@ -465,9 +435,9 @@ Result<Database> DatalogEvaluator::Evaluate() {
   if (!strata.ok()) return strata.status();
   for (const std::vector<std::string>& level : strata.value()) {
     std::set<std::string> preds(level.begin(), level.end());
-    std::vector<const DatalogRule*> rules;
-    for (const DatalogRule& rule : program_.rules) {
-      if (preds.count(rule.head)) rules.push_back(&rule);
+    std::vector<size_t> rules;
+    for (size_t i = 0; i < program_.rules.size(); ++i) {
+      if (preds.count(program_.rules[i].head)) rules.push_back(i);
     }
     if (!rules.empty()) {
       DODB_RETURN_IF_ERROR(RunToFixpoint(rules, &idb));

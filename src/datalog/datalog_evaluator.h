@@ -5,8 +5,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/status.h"
@@ -29,30 +27,27 @@ enum class DatalogSemantics {
 
 struct DatalogOptions {
   DatalogSemantics semantics = DatalogSemantics::kInflationary;
-  /// Abort with ResourceExhausted beyond this many rounds (0 = unlimited;
-  /// termination is guaranteed anyway — see EvaluateInflationary).
+  /// Abort with ResourceExhausted, "round budget" in the message, when the
+  /// fixpoint has not stabilized after this many rounds (0 = unlimited;
+  /// termination is guaranteed anyway — see EvaluateInflationary). A deep
+  /// safety backstop by default; set it lower to budget one query's rounds.
   uint64_t max_iterations = 100000;
-  /// A second, user-facing round cap mirroring CCalcOptions'
-  /// max_fix_iterations: 0 = unlimited, otherwise the fixpoint aborts with
-  /// ResourceExhausted after this many rounds. When both caps are nonzero
-  /// the stricter one applies. Unlike max_iterations (a deep safety
-  /// backstop) this is meant to be set per query, e.g. from \limit.
-  uint64_t max_fix_rounds = 0;
-  /// Semi-naive evaluation: after the first round, a rule whose IDB
-  /// references are all positive is re-evaluated once per positive IDB
-  /// occurrence with that occurrence restricted to the previous round's
-  /// delta. Sound (positive bodies are monotone in the IDB); rules with
-  /// negated IDB atoms always run naively against the full snapshot, so
-  /// the inflationary semantics is unchanged. Off = pure naive iteration
-  /// (the ablation baseline measured in bench_thm44).
-  bool semi_naive = true;
   EvalOptions eval_options;
 };
 
 /// Fixpoint evaluator for Datalog(not) over dense-order constraint
-/// databases. Rule bodies are lowered to first-order formulas and evaluated
-/// in closed form by FoEvaluator, so IDB relations are themselves finitely
-/// representable at every stage [KKR90].
+/// databases. Each rule is compiled once, at construction: its body is
+/// lowered to a first-order formula that FoEvaluator evaluates in closed
+/// form, so IDB relations are themselves finitely representable at every
+/// stage [KKR90]. A firing binds the body's occurrences to their input
+/// relations by position.
+///
+/// Evaluation is semi-naive: after the first round, a rule whose IDB
+/// references are all positive fires once per positive IDB occurrence, with
+/// that occurrence bound to the previous round's delta. Sound because
+/// positive bodies are monotone in the IDB; a rule with a negated IDB atom
+/// fires against the full snapshot every round, so the inflationary
+/// semantics is unchanged.
 ///
 /// Termination: quantifier elimination and complement only ever reuse
 /// constants already present, so all derivable canonical tuples come from a
@@ -71,36 +66,25 @@ class DatalogEvaluator {
   Result<GeneralizedRelation> Answer(const DatalogQuery& query,
                                      const Database& idb);
 
-  /// Fires rule `rule_index` of the program once against `snapshot` (which
-  /// must already hold every relation the body references — EDB, IDB, and
-  /// any installed delta relations). When `redirect_occurrence` is set, that
-  /// body literal's relation is rewritten to `redirect_relation` before
-  /// lowering: the semi-naive delta firing RunToFixpoint plans internally,
-  /// exposed so the view-maintenance subsystem can compile per-view delta
-  /// rules from the same primitive. Unlike Evaluate(), this installs no
-  /// guard/memo/mode scopes — the caller owns that setup.
+  /// Fires rule `rule_index` of the program once against `snapshot`, which
+  /// holds every relation the body names (EDB and IDB). Body occurrence o
+  /// reads `inputs[o]` instead when that is given and non-null: a delta, or
+  /// a semi-join subset of the occurrence's relation. An input at position
+  /// body.size() restricts the firing to the head tuples in that relation
+  /// (DRed re-derivation): the body is then conjoined with an atom over the
+  /// head's arguments that reads it. Inputs are read in place, so firings
+  /// that run concurrently need them warm (WarmDatabaseCaches). Unlike
+  /// Evaluate(), this installs no guard/memo/thread scopes — the caller owns
+  /// that setup, as RunToFixpoint and the view-maintenance passes do.
   Result<GeneralizedRelation> FireRule(
       size_t rule_index, const Database& snapshot,
-      std::optional<size_t> redirect_occurrence = std::nullopt,
-      std::string_view redirect_relation = {});
-
-  /// FireRule with any number of body-literal redirects: each (occurrence,
-  /// relation) pair rewrites that literal to read the named snapshot
-  /// relation. View maintenance uses this to aim one occurrence at a delta
-  /// relation and the remaining occurrences at semi-join-restricted subsets
-  /// of their relations in the same firing.
-  Result<GeneralizedRelation> FireRule(
-      size_t rule_index, const Database& snapshot,
-      const std::vector<std::pair<size_t, std::string>>& redirects);
+      const std::vector<const GeneralizedRelation*>& inputs = {});
 
   /// Positions of positive IDB atoms in a rule's body; nullopt when the rule
   /// has a *negated* IDB atom (then semi-naive delta firing is unsound and
   /// the rule must run naively every round).
   static std::optional<std::vector<size_t>> PositiveIdbOccurrences(
       const DatalogRule& rule, const std::map<std::string, int>& idb_arities);
-
-  const DatalogProgram& program() const { return program_; }
-  const DatalogOptions& options() const { return options_; }
 
   /// Rounds executed by the last Evaluate() call.
   uint64_t iterations() const { return iterations_; }
@@ -110,15 +94,34 @@ class DatalogEvaluator {
   const EvalCounterSnapshot& counters() const { return counters_; }
 
  private:
-  Result<GeneralizedRelation> EvalRule(const DatalogRule& rule,
-                                       const Database& snapshot);
-  Status RunToFixpoint(const std::vector<const DatalogRule*>& rules,
-                       Database* idb);
+  /// A rule body lowered to a formula over the head variables, with the
+  /// lowered atom of each occurrence (null for a constraint literal): the
+  /// nodes a firing binds its inputs to.
+  struct LoweredBody {
+    FormulaPtr formula;
+    std::vector<const Formula*> atoms;
+  };
+  /// A rule as compiled once per evaluator: the distinct head variables (the
+  /// answer's columns), the body plain and in re-derivation form (one more
+  /// occurrence: the head atom), and the widening to the head's columns:
+  /// answer column v goes to widen_mapping[v], then widen_pins equate
+  /// repeated head variables and pin constant head arguments.
+  struct CompiledRule {
+    std::vector<std::string> head_vars;
+    LoweredBody body;
+    LoweredBody rederive;
+    std::vector<int> widen_mapping;
+    std::vector<DenseAtom> widen_pins;
+  };
+
+  static CompiledRule Compile(const DatalogRule& rule);
+  Status RunToFixpoint(const std::vector<size_t>& rules, Database* idb);
   Result<std::vector<std::vector<std::string>>> Stratify() const;
 
   DatalogProgram program_;
   const Database* edb_;
   DatalogOptions options_;
+  std::vector<CompiledRule> compiled_;  // one per program_.rules entry
   uint64_t iterations_ = 0;
   EvalCounterSnapshot counters_;
 };
@@ -132,11 +135,13 @@ GeneralizedRelation StructuralTupleDifference(const GeneralizedRelation& next,
                                               const GeneralizedRelation& prev);
 
 /// Populates and closes the lazily cached constraint network, signature,
-/// index and shard partition of every relation in `db`, making the whole
-/// snapshot read-only-sharable across pool workers (see RunToFixpoint's
-/// warm-before-parallel discipline). Exported for the view-maintenance
-/// rounds, which fan out rule jobs the same way.
-void WarmDatabaseCaches(const Database& db);
+/// index and shard partition of every relation in `db` and of every
+/// non-null relation in `inputs` (what a round's firings are bound to),
+/// making all of them read-only-sharable across pool workers (see
+/// RunToFixpoint's warm-before-parallel discipline). Exported for the
+/// view-maintenance rounds, which fan out rule jobs the same way.
+void WarmDatabaseCaches(const Database& db,
+                        const std::vector<const GeneralizedRelation*>& inputs);
 
 }  // namespace dodb
 

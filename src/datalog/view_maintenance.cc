@@ -4,10 +4,10 @@
 #include <cctype>
 #include <chrono>
 #include <functional>
+#include <optional>
 #include <utility>
 
 #include "constraints/eval_counters.h"
-#include "constraints/relation_index.h"
 #include "constraints/tuple_signature.h"
 #include "core/check.h"
 #include "core/fault_injection.h"
@@ -19,14 +19,6 @@
 namespace dodb {
 
 namespace {
-
-// Per-predicate delta relations installed into the shared snapshot, same
-// convention as RunToFixpoint's semi-naive deltas. A distinct prefix keeps
-// the DRed re-derive targets from colliding with insert deltas when a head
-// carries both in one pass.
-constexpr char kDeltaRelationName[] = "__dodb_delta";
-constexpr char kRederiveRelationName[] = "__dodb_rederive";
-constexpr char kSemiJoinRelationName[] = "__dodb_sj";
 
 // Body relations below this size skip semi-join restriction: probing the
 // index and materializing the subset costs more than the firing saves.
@@ -95,7 +87,7 @@ class MaintenancePass {
 };
 
 // One delta-restricted firing: rule `rule` with body occurrence
-// `occurrence` redirected to `pred`'s installed delta relation.
+// `occurrence` bound to `pred`'s delta.
 struct DeltaJob {
   size_t rule = 0;
   size_t occurrence = 0;
@@ -124,11 +116,22 @@ std::vector<DeltaJob> PlanDeltaJobs(
   return jobs;
 }
 
+// A delta-directed firing plan: the relation each body occurrence reads in
+// the firing (null = the snapshot's relation), plus the static verdict that
+// the firing cannot emit anything because some restricted body literal has
+// no candidate tuples at all (then the caller skips the firing outright
+// instead of evaluating a join with an empty input).
+struct FirePlan {
+  std::vector<const GeneralizedRelation*> inputs;
+  std::vector<std::optional<GeneralizedRelation>> subsets;  // behind inputs
+  bool provably_empty = false;
+};
+
 // Evaluates `eval_job` for each job index — on the pool when worthwhile,
-// with the snapshot's caches warmed first so workers share them read-only
-// (same discipline as RunToFixpoint).
+// with the snapshot's and the plans' input caches warmed first so workers
+// share them read-only (same discipline as RunToFixpoint).
 std::vector<Result<GeneralizedRelation>> RunJobs(
-    size_t n, const Database& snapshot,
+    size_t n, const Database& snapshot, const std::vector<FirePlan>& plans,
     const std::function<Result<GeneralizedRelation>(size_t)>& eval_job) {
   if (!ShouldParallelize(n)) {
     std::vector<Result<GeneralizedRelation>> out;
@@ -136,7 +139,11 @@ std::vector<Result<GeneralizedRelation>> RunJobs(
     for (size_t j = 0; j < n; ++j) out.push_back(eval_job(j));
     return out;
   }
-  WarmDatabaseCaches(snapshot);
+  std::vector<const GeneralizedRelation*> bound;
+  for (const FirePlan& plan : plans) {
+    bound.insert(bound.end(), plan.inputs.begin(), plan.inputs.end());
+  }
+  WarmDatabaseCaches(snapshot, bound);
   return ParallelMap<Result<GeneralizedRelation>>(n, eval_job);
 }
 
@@ -147,48 +154,40 @@ GeneralizedRelation RelationFromTuples(
   return rel;
 }
 
-// A delta-directed firing plan: literal redirects into restricted subsets,
-// plus the static verdict that the firing cannot emit anything because some
-// restricted body literal has no candidate tuples at all (then the caller
-// skips the firing outright instead of evaluating a join with an empty
-// input).
-struct FirePlan {
-  std::vector<std::pair<size_t, std::string>> redirects;
-  bool provably_empty = false;
-};
-
 // Semi-join restriction for one delta-directed firing — what makes a firing
-// O(delta) instead of O(n). The delta literal binds each shared join
-// variable to the delta relation's per-column cover box; every other
-// positive body literal is then restricted, via the relation index, to the
-// stored tuples whose bound box overlaps that cover on the shared columns.
-// A shared simple variable lowers to a dense-order equality between the two
-// columns, and disjoint column boxes make that equality unsatisfiable
-// (exactly the engine's pair-pruning criterion, BoundsMayOverlap), so the
-// dropped tuples could not have contributed to the join: the restricted
-// firing emits precisely what the unrestricted one would, without
-// materializing the non-joinable bulk of each body relation per firing.
-// Restricted subsets are installed into `*snapshot` under firing-unique
-// names; the returned redirects aim the rule's literals at them.
-FirePlan PlanSemiJoinRestrictions(const DatalogRule& rule,
-                                  size_t delta_occurrence,
-                                  const GeneralizedRelation& delta_rel,
-                                  size_t job_index, Database* snapshot) {
-  FirePlan plan;
-  std::vector<std::pair<size_t, std::string>>& redirects = plan.redirects;
+// O(delta) instead of O(n). The delta occurrence (a body literal, or at
+// body.size() the head atom of a re-derivation firing) reads `delta_rel`
+// and binds each shared join variable to the delta's per-column cover box;
+// every other positive body literal then reads, via the relation index,
+// only the stored tuples whose bound box overlaps that cover on the shared
+// columns. A shared simple variable lowers to a dense-order equality
+// between the two columns, and disjoint column boxes make that equality
+// unsatisfiable (exactly the engine's pair-pruning criterion,
+// BoundsMayOverlap), so the dropped tuples could not have contributed to
+// the join: the restricted firing emits precisely what the unrestricted one
+// would, without reading the non-joinable bulk of each body relation.
+void PlanSemiJoinRestrictions(const DatalogRule& rule, size_t delta_occurrence,
+                              const GeneralizedRelation& delta_rel,
+                              const Database& snapshot, FirePlan* plan) {
+  plan->inputs.assign(std::max(rule.body.size(), delta_occurrence + 1),
+                      nullptr);
+  plan->subsets.resize(plan->inputs.size());
+  plan->inputs[delta_occurrence] = &delta_rel;
   if (delta_rel.IsEmpty()) {
-    plan.provably_empty = true;
-    return plan;
+    plan->provably_empty = true;
+    return;
   }
   // Join variables the delta literal binds → the delta column binding them.
-  const std::vector<FoExpr>& delta_args = rule.body[delta_occurrence].args;
+  const std::vector<FoExpr>& delta_args =
+      delta_occurrence < rule.body.size() ? rule.body[delta_occurrence].args
+                                          : rule.head_args;
   std::map<std::string, int> delta_columns;
   for (size_t c = 0; c < delta_args.size(); ++c) {
     if (delta_args[c].IsSimpleVar()) {
       delta_columns.emplace(delta_args[c].VarName(), static_cast<int>(c));
     }
   }
-  if (delta_columns.empty()) return plan;
+  if (delta_columns.empty()) return;
   // Cover boxes (interval hulls) over the delta's tuples, one per referenced
   // delta column, computed lazily — the delta has O(delta) tuples.
   std::vector<char> have_cover(delta_args.size(), 0);
@@ -217,10 +216,9 @@ FirePlan PlanSemiJoinRestrictions(const DatalogRule& rule,
     if (literal.kind != DatalogLiteral::Kind::kRelation || literal.negated) {
       continue;
     }
-    const GeneralizedRelation* rel = snapshot->FindRelation(literal.relation);
+    const GeneralizedRelation* rel = snapshot.FindRelation(literal.relation);
     if (rel == nullptr || rel->tuple_count() < kMinRestrictTuples) continue;
     TupleSignature probe;
-    probe.hash = 0;
     probe.columns.resize(literal.args.size());  // default = unbounded
     bool constrained = false;
     for (size_t c = 0; c < literal.args.size(); ++c) {
@@ -231,25 +229,16 @@ FirePlan PlanSemiJoinRestrictions(const DatalogRule& rule,
       constrained = true;
     }
     if (!constrained) continue;
-    std::vector<size_t> positions;
-    rel->Index().AppendOverlapCandidates(probe, &positions);
-    if (positions.empty()) {
+    std::optional<GeneralizedRelation>& subset = plan->subsets[o];
+    subset = rel->OverlapSubset(probe);
+    if (subset->IsEmpty()) {
       // No stored tuple can join the delta through this literal, so the
       // whole conjunction is empty — the caller skips the firing.
-      plan.provably_empty = true;
-      return plan;
+      plan->provably_empty = true;
+      return;
     }
-    if (positions.size() >= rel->tuple_count()) continue;  // nothing pruned
-    GeneralizedRelation restricted(rel->arity());
-    const std::vector<GeneralizedTuple>& tuples = rel->tuples();
-    // Stored canonical tuples are mutually non-subsuming, so the subset
-    // inserts without displacement.
-    for (size_t pos : positions) restricted.AddCanonicalTuple(tuples[pos]);
-    std::string name = StrCat(kSemiJoinRelationName, ":", job_index, ":", o);
-    snapshot->SetRelation(name, std::move(restricted));
-    redirects.emplace_back(o, std::move(name));
+    plan->inputs[o] = &*subset;
   }
-  return plan;
 }
 
 }  // namespace
@@ -498,7 +487,7 @@ Status ViewRegistry::RebuildSupport(MaterializedView* view,
     return eval->FireRule(j, snapshot);
   };
   std::vector<Result<GeneralizedRelation>> fired =
-      RunJobs(num_rules, snapshot, eval_job);
+      RunJobs(num_rules, snapshot, {}, eval_job);
 
   GuardTicker ticker(guard, GuardSite::kViewDeltaApply, 64);
   for (size_t j = 0; j < num_rules; ++j) {
@@ -615,19 +604,14 @@ Status ViewRegistry::PropagateInserts(
     for (const std::string& pred : view->idb_.RelationNames()) {
       snapshot.SetRelation(pred, *view->idb_.FindRelation(pred));
     }
-    for (const auto& [pred, rel] : delta_in) {
-      snapshot.SetRelation(StrCat(kDeltaRelationName, ":", pred), rel);
-    }
     std::vector<DeltaJob> jobs = PlanDeltaJobs(view->program_, delta_in);
     if (jobs.empty()) break;  // deltas no rule body reads
 
     std::vector<FirePlan> plans(jobs.size());
     for (size_t j = 0; j < jobs.size(); ++j) {
-      plans[j] = PlanSemiJoinRestrictions(
-          rules[jobs[j].rule], jobs[j].occurrence, delta_in.at(jobs[j].pred),
-          j, &snapshot);
-      plans[j].redirects.emplace_back(
-          jobs[j].occurrence, StrCat(kDeltaRelationName, ":", jobs[j].pred));
+      PlanSemiJoinRestrictions(rules[jobs[j].rule], jobs[j].occurrence,
+                               delta_in.at(jobs[j].pred), snapshot,
+                               &plans[j]);
     }
     auto eval_job = [&](size_t j) -> Result<GeneralizedRelation> {
       if (plans[j].provably_empty) {
@@ -637,10 +621,10 @@ Status ViewRegistry::PropagateInserts(
       if (guard != nullptr && !guard->Checkpoint(GuardSite::kDatalogRule)) {
         return guard->status();
       }
-      return eval->FireRule(jobs[j].rule, snapshot, plans[j].redirects);
+      return eval->FireRule(jobs[j].rule, snapshot, plans[j].inputs);
     };
     std::vector<Result<GeneralizedRelation>> fired =
-        RunJobs(jobs.size(), snapshot, eval_job);
+        RunJobs(jobs.size(), snapshot, plans, eval_job);
 
     // Sequential merge in plan order, mirroring RunToFixpoint. The round's
     // delta is collected *during* the merge — every fresh insert is a delta
@@ -745,20 +729,14 @@ Status ViewRegistry::MaintainDelete(
         !guard->Checkpoint(GuardSite::kViewDeltaApply)) {
       return guard->status();
     }
-    Database snapshot = old_snapshot;
-    for (const auto& [pred, rel] : wave) {
-      snapshot.SetRelation(StrCat(kDeltaRelationName, ":", pred), rel);
-    }
     std::vector<DeltaJob> jobs = PlanDeltaJobs(view->program_, wave);
     if (jobs.empty()) break;
 
     std::vector<FirePlan> plans(jobs.size());
     for (size_t j = 0; j < jobs.size(); ++j) {
-      plans[j] = PlanSemiJoinRestrictions(
-          rules[jobs[j].rule], jobs[j].occurrence, wave.at(jobs[j].pred), j,
-          &snapshot);
-      plans[j].redirects.emplace_back(
-          jobs[j].occurrence, StrCat(kDeltaRelationName, ":", jobs[j].pred));
+      PlanSemiJoinRestrictions(rules[jobs[j].rule], jobs[j].occurrence,
+                               wave.at(jobs[j].pred), old_snapshot,
+                               &plans[j]);
     }
     auto eval_job = [&](size_t j) -> Result<GeneralizedRelation> {
       if (plans[j].provably_empty) {
@@ -768,10 +746,10 @@ Status ViewRegistry::MaintainDelete(
       if (guard != nullptr && !guard->Checkpoint(GuardSite::kDatalogRule)) {
         return guard->status();
       }
-      return eval->FireRule(jobs[j].rule, snapshot, plans[j].redirects);
+      return eval->FireRule(jobs[j].rule, old_snapshot, plans[j].inputs);
     };
     std::vector<Result<GeneralizedRelation>> fired =
-        RunJobs(jobs.size(), snapshot, eval_job);
+        RunJobs(jobs.size(), old_snapshot, plans, eval_job);
 
     std::map<std::string, std::vector<GeneralizedTuple>> dead;
     GuardTicker ticker(guard, GuardSite::kViewDeltaApply, 64);
@@ -819,60 +797,43 @@ Status ViewRegistry::MaintainDelete(
   if (overdeleted.empty()) return Status::Ok();
 
   // Re-derive: for each affected head, fire its rules over the *reduced*
-  // state, semi-joined with the over-deleted region — each rule gets an
-  // extra body literal over a relation holding that head's over-deleted
+  // state, semi-joined with the over-deleted region — each firing conjoins
+  // the rule body with the head atom bound to that head's over-deleted
   // tuples, so only alternative derivations of the removed regions are
-  // enumerated (DRed's delta-restricted re-derivation). Survivors re-enter
-  // the insert pipeline, which completes recursion in depth order.
+  // enumerated (DRed's delta-restricted re-derivation). The head atom plays
+  // the delta role for the semi-join plan. Survivors re-enter the insert
+  // pipeline, which completes recursion in depth order.
   Database reduced = new_base;
   for (const std::string& pred : view->idb_.RelationNames()) {
     reduced.SetRelation(pred, *view->idb_.FindRelation(pred));
   }
+  std::map<std::string, GeneralizedRelation> over;
   for (const auto& [head, tuples] : overdeleted) {
-    const GeneralizedRelation* rel = view->idb_.FindRelation(head);
-    DODB_CHECK(rel != nullptr);
-    reduced.SetRelation(StrCat(kRederiveRelationName, ":", head),
-                        RelationFromTuples(rel->arity(), tuples));
+    over.emplace(head, RelationFromTuples(
+                           view->idb_.FindRelation(head)->arity(), tuples));
   }
-  DatalogProgram rederive_program;
-  std::vector<size_t> source_rule;
+  std::vector<size_t> rederive_rules;
   for (size_t i = 0; i < rules.size(); ++i) {
-    if (overdeleted.count(rules[i].head) == 0) continue;
-    DatalogRule focused = rules[i];
-    DatalogLiteral semi_join;
-    semi_join.kind = DatalogLiteral::Kind::kRelation;
-    semi_join.relation = StrCat(kRederiveRelationName, ":", focused.head);
-    semi_join.args = focused.head_args;
-    focused.body.push_back(std::move(semi_join));
-    rederive_program.rules.push_back(std::move(focused));
-    source_rule.push_back(i);
+    if (over.count(rules[i].head) != 0) rederive_rules.push_back(i);
   }
-  DatalogEvaluator rederive_eval(rederive_program, &reduced, eval->options());
-
-  // The appended semi-join literal plays the delta role here: the firing
-  // only needs body tuples that can join the over-deleted region.
-  std::vector<FirePlan> plans(rederive_program.rules.size());
-  for (size_t j = 0; j < rederive_program.rules.size(); ++j) {
-    const DatalogRule& focused = rederive_program.rules[j];
-    const size_t semi_join_occ = focused.body.size() - 1;
-    const GeneralizedRelation* over =
-        reduced.FindRelation(focused.body[semi_join_occ].relation);
-    DODB_CHECK(over != nullptr);
-    plans[j] = PlanSemiJoinRestrictions(focused, semi_join_occ, *over, j,
-                                        &reduced);
+  std::vector<FirePlan> plans(rederive_rules.size());
+  for (size_t j = 0; j < rederive_rules.size(); ++j) {
+    const DatalogRule& rule = rules[rederive_rules[j]];
+    PlanSemiJoinRestrictions(rule, rule.body.size(), over.at(rule.head),
+                             reduced, &plans[j]);
   }
   auto eval_job = [&](size_t j) -> Result<GeneralizedRelation> {
     if (plans[j].provably_empty) {
-      return GeneralizedRelation(static_cast<int>(
-          rederive_program.rules[j].head_args.size()));
+      return GeneralizedRelation(
+          static_cast<int>(rules[rederive_rules[j]].head_args.size()));
     }
     if (guard != nullptr && !guard->Checkpoint(GuardSite::kViewRederive)) {
       return guard->status();
     }
-    return rederive_eval.FireRule(j, reduced, plans[j].redirects);
+    return eval->FireRule(rederive_rules[j], reduced, plans[j].inputs);
   };
   std::vector<Result<GeneralizedRelation>> fired =
-      RunJobs(rederive_program.rules.size(), reduced, eval_job);
+      RunJobs(rederive_rules.size(), reduced, plans, eval_job);
 
   std::map<std::string, GeneralizedRelation> work;
   GuardTicker ticker(guard, GuardSite::kViewRederive, 64);
@@ -880,13 +841,13 @@ Status ViewRegistry::MaintainDelete(
   uint64_t rederived = 0;
   for (size_t j = 0; j < fired.size(); ++j) {
     if (!fired[j].ok()) return fired[j].status();
-    const std::string& head = rederive_program.rules[j].head;
+    const std::string& head = rules[rederive_rules[j]].head;
     auto wit = work.find(head);
     if (wit == work.end()) {
       wit = work.emplace(head, *view->idb_.FindRelation(head)).first;
     }
     MaterializedView::MetaMap& meta = view->meta_[head];
-    const uint64_t bit = RuleBit(source_rule[j]);
+    const uint64_t bit = RuleBit(rederive_rules[j]);
     for (const GeneralizedTuple& tuple : fired[j].value().tuples()) {
       if (!ticker.Tick()) return guard->status();
       erased.clear();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "algebra/relational_ops.h"
 #include "constraints/closure_cache.h"
@@ -31,19 +32,6 @@ Term LowerSimpleExpr(const FoExpr& expr, const std::vector<std::string>& vars) {
   DODB_CHECK(index >= 0);
   return Term::Var(index);
 }
-
-// Writes the engine-counter delta covering its lifetime into `out` —
-// attribution of process-wide counters to one evaluation.
-class CounterDeltaScope {
- public:
-  explicit CounterDeltaScope(EvalCounterSnapshot* out)
-      : start_(EvalCounters::Snapshot()), out_(out) {}
-  ~CounterDeltaScope() { *out_ = EvalCounters::Snapshot() - start_; }
-
- private:
-  EvalCounterSnapshot start_;
-  EvalCounterSnapshot* out_;
-};
 
 // Installs the full set of evaluation scopes an options struct implies;
 // groups them so Evaluate and EvaluateFormula stay in sync. The local memo
@@ -82,6 +70,50 @@ void FlattenAnd(const Formula& formula, std::vector<const Formula*>* out) {
 }
 
 }  // namespace
+
+GeneralizedRelation ReadRelationAtom(const GeneralizedRelation& stored,
+                                     const std::vector<FoExpr>& args,
+                                     std::vector<std::string>* vars) {
+  const int k = stored.arity();
+  DODB_CHECK(static_cast<int>(args.size()) == k);
+  vars->clear();
+  for (const FoExpr& arg : args) {
+    if (arg.IsSimpleVar() && IndexOfVar(*vars, arg.VarName()) < 0) {
+      vars->push_back(arg.VarName());
+    }
+  }
+  // Distinct variables first; each constant argument gets an extra tail
+  // column, pinned by a selection and then projected away (a cheap
+  // substitution). A stored tuple whose box misses a constant cannot survive
+  // its selection, so the probe skips it before any copy.
+  const int num_vars = static_cast<int>(vars->size());
+  int ext_arity = num_vars;
+  std::vector<int> mapping(k);
+  std::vector<DenseAtom> pins;
+  TupleSignature probe;
+  probe.columns.resize(k);  // unbounded
+  for (int i = 0; i < k; ++i) {
+    const FoExpr& arg = args[i];
+    if (arg.IsSimpleVar()) {
+      mapping[i] = IndexOfVar(*vars, arg.VarName());
+      continue;
+    }
+    DODB_CHECK(arg.IsConstant());
+    pins.emplace_back(Term::Var(ext_arity), RelOp::kEq,
+                      Term::Const(arg.constant));
+    mapping[i] = ext_arity++;
+    ColumnBound& point = probe.columns[i];
+    point.has_lower = point.has_upper = true;
+    point.lower = point.upper = arg.constant;
+  }
+  GeneralizedRelation rel = algebra::Rename(
+      pins.empty() ? stored : stored.OverlapSubset(probe), mapping,
+      ext_arity);
+  for (const DenseAtom& pin : pins) rel = algebra::Select(rel, pin);
+  std::vector<int> keep(num_vars);
+  std::iota(keep.begin(), keep.end(), 0);
+  return ProjectColumns(rel, keep);
+}
 
 FoEvaluator::FoEvaluator(const Database* db, EvalOptions options)
     : db_(db), options_(options) {
@@ -130,7 +162,9 @@ Result<GeneralizedRelation> FoEvaluator::Evaluate(const Query& query) {
 }
 
 Result<GeneralizedRelation> FoEvaluator::EvaluateFormula(
-    const Formula& formula, const std::vector<std::string>& columns) {
+    const Formula& formula, const std::vector<std::string>& columns,
+    const AtomInputs& inputs) {
+  inputs_ = inputs;
   EvalScopes scopes(options_);
   GuardStatsScope guard_stats(scopes.guard(), &stats_);
   CounterDeltaScope counters(&stats_.counters);
@@ -310,47 +344,21 @@ Result<FoEvaluator::Binding> FoEvaluator::EvalCompare(
 
 Result<FoEvaluator::Binding> FoEvaluator::EvalRelation(
     const Formula& formula) {
-  const GeneralizedRelation* stored = db_->FindRelation(formula.relation);
-  DODB_CHECK(stored != nullptr);  // Analyze() verified
-  int k = stored->arity();
-  DODB_CHECK(static_cast<int>(formula.args.size()) == k);
-
-  // Distinct variables in first-occurrence order; constant and duplicate
-  // arguments become equality constraints on extra tail columns that are
-  // then projected away (the projection is a cheap substitution).
-  std::vector<std::string> vars;
-  for (const FoExpr& arg : formula.args) {
-    if (arg.IsSimpleVar() && IndexOfVar(vars, arg.VarName()) < 0) {
-      vars.push_back(arg.VarName());
-    }
+  const GeneralizedRelation* stored = nullptr;
+  for (const auto& [atom, rel] : inputs_) {
+    if (atom == &formula) stored = rel;
   }
-  int num_vars = static_cast<int>(vars.size());
-  int num_consts = 0;
-  std::vector<int> mapping(k);
-  std::vector<std::pair<int, Rational>> pinned;  // tail column -> constant
-  for (int i = 0; i < k; ++i) {
-    const FoExpr& arg = formula.args[i];
-    if (arg.IsSimpleVar()) {
-      mapping[i] = IndexOfVar(vars, arg.VarName());
-    } else {
-      int column = num_vars + num_consts;
-      mapping[i] = column;
-      pinned.emplace_back(column, arg.constant);
-      ++num_consts;
-    }
+  if (stored == nullptr) stored = db_->FindRelation(formula.relation);
+  if (stored == nullptr ||
+      stored->arity() != static_cast<int>(formula.args.size())) {
+    return Status::InvalidArgument(
+        StrCat("relation '", formula.relation,
+               "' is missing or used with the wrong arity"));
   }
-  int ext_arity = num_vars + num_consts;
-  GeneralizedRelation renamed = algebra::Rename(*stored, mapping, ext_arity);
-  for (const auto& [column, value] : pinned) {
-    renamed = algebra::Select(
-        renamed, DenseAtom(Term::Var(column), RelOp::kEq,
-                           Term::Const(value)));
-  }
-  std::vector<int> keep(num_vars);
-  for (int i = 0; i < num_vars; ++i) keep[i] = i;
-  GeneralizedRelation projected = ProjectColumns(renamed, keep);
-  DODB_RETURN_IF_ERROR(CheckSize(projected));
-  return Binding(std::move(vars), std::move(projected));
+  Binding binding;
+  binding.rel = ReadRelationAtom(*stored, formula.args, &binding.vars);
+  DODB_RETURN_IF_ERROR(CheckSize(binding.rel));
+  return binding;
 }
 
 Result<FoEvaluator::Binding> FoEvaluator::EliminateVars(

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "constraints/eval_counters.h"
@@ -99,6 +100,25 @@ class GuardStatsScope {
   uint64_t start_checkpoints_;
 };
 
+/// Relations bound to single relation atoms of a formula, by node address:
+/// such an atom reads its bound relation instead of the database's relation
+/// of that name. A Datalog firing binds a rule's body occurrences this way
+/// (to a round's delta or a semi-join subset), so rule inputs never enter a
+/// catalog.
+using AtomInputs =
+    std::vector<std::pair<const Formula*, const GeneralizedRelation*>>;
+
+/// The relation atom R(args) over R's relation `stored`: a relation over the
+/// atom's distinct variables in first-occurrence order (written to `vars`).
+/// An atom over R's columns in order is `stored` itself, shared
+/// copy-on-write. Otherwise constant arguments select and a repeated
+/// variable equates columns, over only the stored tuples whose signature
+/// box admits the constants. Every argument is a simple variable or a
+/// constant, one per column. The FO and C-CALC evaluators read atoms here.
+GeneralizedRelation ReadRelationAtom(const GeneralizedRelation& stored,
+                                     const std::vector<FoExpr>& args,
+                                     std::vector<std::string>* vars);
+
 /// Bottom-up, closed-form evaluator for first-order queries over dense-order
 /// constraint databases [KKR90]: every subformula evaluates to a finitely
 /// representable relation over its free variables; quantifiers become
@@ -114,9 +134,11 @@ class FoEvaluator {
   Result<GeneralizedRelation> Evaluate(const Query& query);
 
   /// Evaluates a formula into a relation over exactly `columns` (which must
-  /// cover the formula's free variables).
+  /// cover the formula's free variables). Relation atoms of `formula` bound
+  /// in `inputs` read their bound relation.
   Result<GeneralizedRelation> EvaluateFormula(
-      const Formula& formula, const std::vector<std::string>& columns);
+      const Formula& formula, const std::vector<std::string>& columns,
+      const AtomInputs& inputs = {});
 
   const EvalStats& stats() const { return stats_; }
 
@@ -152,6 +174,7 @@ class FoEvaluator {
   const Database* db_;
   EvalOptions options_;
   EvalStats stats_;
+  AtomInputs inputs_;  // of the running EvaluateFormula
 };
 
 }  // namespace dodb

@@ -247,6 +247,38 @@ TEST(FoEvaluatorTest, StatsAreCounted) {
   EXPECT_GE(evaluator.stats().intersections, 1u);
 }
 
+// An atom over a stored relation's columns, in order, is the stored
+// relation itself: nothing is re-canonicalized or indexed.
+TEST(FoEvaluatorTest, PlainAtomSharesTheStoredRelation) {
+  Database db = MakeDb();
+  FoEvaluator evaluator(&db);
+  Query query = FoParser::ParseQuery("{ (x, y) | E(x, y) }").value();
+  GeneralizedRelation answer = evaluator.Evaluate(query).value();
+  EXPECT_TRUE(answer.StructurallyEquals(*db.FindRelation("E")));
+  EXPECT_EQ(evaluator.stats().counters.canonicalized, 0u);
+  EXPECT_EQ(evaluator.stats().counters.index_builds, 0u);
+}
+
+// An atom with a constant argument reads only the stored tuples whose box
+// admits the constant, so canonicalization scales with the tuples the probe
+// matches (10 here; the selection, the elimination and its reindexing each
+// canonicalize them), not with the relation (1,000).
+TEST(FoEvaluatorTest, ConstantAtomProbesTheStoredRelation) {
+  std::vector<std::vector<Rational>> points;
+  for (int64_t x = 0; x < 100; ++x) {
+    for (int64_t y = 0; y < 10; ++y) points.push_back({Rational(x), Rational(y)});
+  }
+  Database db;
+  db.SetRelation("r", GeneralizedRelation::FromPoints(2, points));
+  FoEvaluator evaluator(&db);
+  Query query = FoParser::ParseQuery("{ (y) | r(42, y) }").value();
+  GeneralizedRelation answer = evaluator.Evaluate(query).value();
+  ASSERT_EQ(answer.tuple_count(), 10u);
+  for (int64_t y = 0; y < 10; ++y) EXPECT_TRUE(answer.Contains({Rational(y)}));
+  EXPECT_LE(evaluator.stats().counters.canonicalized,
+            4 * answer.tuple_count());
+}
+
 // Closure under automorphisms (paper §3, Definition 3.1): evaluating a
 // query on an automorphic image of the database yields the automorphic
 // image of the original answer.

@@ -241,20 +241,75 @@ TEST(MinimalCanonicalDifferentialTest, FoEvaluatorMatchesClosedFormAnswer) {
 
 TEST(MinimalCanonicalDifferentialTest, CellEvaluatorRefereesFoEvaluator) {
   // The model-theoretic evaluator is an independent implementation of the
-  // same semantics; the algebraic answer must agree with it semantically.
+  // same semantics; the algebraic answers, FO and C-CALC at 1 and 8 threads,
+  // must agree with it semantically (and the two thread counts
+  // structurally). The atoms cover every case of the atom reader: a stored
+  // relation as it is or permuted, a repeated variable, constants on closed
+  // and on open tuple endpoints, constants inside var-var tuples (which
+  // have no box), and all-constant atoms.
   Database db;
   db.SetRelation("e", bench::PathGraph(8));
-  Query query =
-      FoParser::ParseQuery("{ (x) | exists y (e(x, y) and x < y) }").value();
-  CellFoEvaluator cell_evaluator(&db);
-  GeneralizedRelation referee = cell_evaluator.Evaluate(query).value();
-  for (int threads : {1, 8}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    FoEvaluator evaluator(&db, options);
-    GeneralizedRelation algebraic = evaluator.Evaluate(query).value();
-    oracle::ExpectSemanticallyEqual(algebraic, referee,
-                                    "threads " + std::to_string(threads));
+  GeneralizedRelation r(2);
+  auto add = [](GeneralizedRelation* rel, std::vector<DenseAtom> atoms) {
+    rel->AddTuple(GeneralizedTuple(rel->arity(), std::move(atoms)));
+  };
+  add(&r, {VarConst(0, RelOp::kGe, 0), VarConst(0, RelOp::kLe, 3),
+           VarConst(1, RelOp::kEq, 7)});
+  add(&r, {VarConst(0, RelOp::kGt, 3), VarConst(0, RelOp::kLt, 5),
+           VarConst(1, RelOp::kGt, 1), VarConst(1, RelOp::kLe, 4)});
+  add(&r, {DenseAtom(Term::Var(0), RelOp::kLt, Term::Var(1))});
+  add(&r, {DenseAtom(Term::Var(0), RelOp::kEq, Term::Var(1)),
+           VarConst(1, RelOp::kGe, 6)});
+  add(&r, {VarConst(0, RelOp::kEq, 5), VarConst(1, RelOp::kEq, 5)});
+  db.SetRelation("r", r);
+  GeneralizedRelation zone(1);
+  add(&zone, {VarConst(0, RelOp::kGe, 0), VarConst(0, RelOp::kLe, 5)});
+  add(&zone, {VarConst(0, RelOp::kGt, 7), VarConst(0, RelOp::kLt, 9)});
+  db.SetRelation("zone", zone);
+  const char* queries[] = {
+      "{ (x) | exists y (e(x, y) and x < y) }",
+      "{ (x, y) | r(x, y) }",
+      "{ (y, x) | r(x, y) }",
+      "{ (x) | r(x, x) }",
+      "{ (y) | r(3, y) }",
+      "{ (y) | r(5, y) }",
+      "{ (x) | r(x, 7) }",
+      "{ (x) | r(x, 4) and zone(x) }",
+      "{ (x) | not r(x, 6) }",
+      "{ (y) | exists x (r(x, y) and zone(x)) }",
+      "zone(5)",
+      "zone(7)",
+      "r(3, 7)",
+      "r(9, 8)",
+  };
+  for (const char* text : queries) {
+    Query query = FoParser::ParseQuery(text).value();
+    CCalcQuery ccalc_query = CCalcParser::ParseQuery(text).value();
+    CellFoEvaluator cell_evaluator(&db);
+    GeneralizedRelation referee = cell_evaluator.Evaluate(query).value();
+    std::string reference;
+    for (int threads : {1, 8}) {
+      const std::string context =
+          std::string(text) + ", threads " + std::to_string(threads);
+      EvalOptions options;
+      options.num_threads = threads;
+      FoEvaluator evaluator(&db, options);
+      GeneralizedRelation algebraic = evaluator.Evaluate(query).value();
+      oracle::ExpectSemanticallyEqual(algebraic, referee, "FO " + context);
+      CCalcOptions ccalc_options;
+      ccalc_options.eval_options = options;
+      CCalcEvaluator ccalc(&db, ccalc_options);
+      GeneralizedRelation from_ccalc = ccalc.Evaluate(ccalc_query).value();
+      oracle::ExpectSemanticallyEqual(from_ccalc, referee,
+                                      "C-CALC " + context);
+      std::string fingerprint = StructuralFingerprint(algebraic) + "\n" +
+                                StructuralFingerprint(from_ccalc);
+      if (reference.empty()) {
+        reference = fingerprint;
+      } else {
+        EXPECT_EQ(fingerprint, reference) << context;
+      }
+    }
   }
 }
 

@@ -475,12 +475,12 @@ TEST(GuardRobustnessTest, MalformedFaultSpecIsAnError) {
   }
 }
 
-// max_fix_rounds is the user-facing round cap (\limit territory): the TC of
-// a 4-cycle needs several rounds, so a budget of 1 must abort cleanly.
+// max_iterations budgets a query's rounds: the TC of a 4-cycle needs
+// several rounds, so a budget of 1 must abort cleanly.
 TEST(GuardRobustnessTest, DatalogRoundBudgetAborts) {
   Database edb = MakeEdgeDatabase();
   DatalogOptions options;
-  options.max_fix_rounds = 1;
+  options.max_iterations = 1;
   DatalogProgram program =
       DatalogParser::ParseProgram("tc(x, y) :- edge(x, y).\n"
                                   "tc(x, y) :- tc(x, z), edge(z, y).\n")
